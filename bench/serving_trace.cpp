@@ -15,13 +15,10 @@
 //      SLO attainment), plus KV-capacity accounting on the same trace.
 //   3. prefill planners on a long-prefill trace: monolithic vs chunked
 //      vs weight-resident chunk chaining (CC weight traffic, makespan,
-//      worst-case CC-lane queueing delay, pin/fallback accounting).
-//      Pinned to the PR 3 per-request pin mode so its headline stays the
-//      baseline §4 is measured against.
-//   4. shared vs per-request weight pins on the same multi-request
-//      same-model trace: one refcounted pin per model charges the budget
-//      once, riders skip weight DMA on every chunk (fallbacks, CC weight
-//      fetch, peak pinned bytes).
+//      worst-case CC-lane queueing delay, pin/fallback accounting). One
+//      refcounted pin per model charges the budget once and riders skip
+//      weight DMA (gated: peak pinned bytes stay within one layer-group
+//      set).
 //   5. fidelity sweep — makespan drift across burst/block coarsening
 //      factors (8x/4x/2x/1x).
 //   6. multi-model zoo — residency-aware placement policies
@@ -374,9 +371,9 @@ int main(int argc, char** argv) {
               long_prefill.requests, long_prefill.input_tokens,
               long_prefill.crops);
 
-  // Residency budget: two requests' full LLM layer-group sets can stay
-  // pinned at once (the rest fall back to per-chunk re-fetch). Like the
-  // KV budget, this oversubscribes the physical TCDM — it models the
+  // Residency budget: room for two full LLM layer-group sets, of which
+  // the single-model trace's one refcounted pin needs one. Like the KV
+  // budget, this oversubscribes the physical TCDM — it models the
   // near-memory / enlarged-scratchpad design point, and the printed
   // multiple keeps that honest.
   const model::MllmConfig sphinx = model::sphinx_tiny();
@@ -393,10 +390,10 @@ int main(int argc, char** argv) {
               static_cast<double>(layer_group) / (1024.0 * 1024.0),
               resid_oversub);
 
-  // This section keeps the PR 3 PER-REQUEST pins (share_weight_pins
-  // off): every request charges its own layer-group bytes, so at most
-  // two of the 12 hold pins at once and the rest fall back. §4 below
-  // replays the same trace with the shared-pin fix.
+  // All 12 requests serve SPHINX-Tiny, so they refcount ONE pin: the
+  // first attach fetches and charges the budget, later requests ride it
+  // and skip the pinned layers' weight DMA (re-fetching only while the
+  // owner's fill is still in flight).
   const auto prefill_trace = serve::poisson_trace(long_prefill);
   const std::vector<serve::SweepCase> s3_cases = {
       {"s3 mono", chip8, sphinx_models, continuous_config(true), prefill_trace},
@@ -407,15 +404,13 @@ int main(int argc, char** argv) {
       {"s3 resident", chip8, sphinx_models,
        continuous_config(true)
            .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(128))
-           .weight_residency_bytes(resid_budget)
-           .share_weight_pins(false),
+           .weight_residency_bytes(resid_budget),
        prefill_trace},
       {"s3 chained", chip8, sphinx_models,
        continuous_config(true)
            .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(
                128, /*chain_lane_affinity=*/true))
-           .weight_residency_bytes(resid_budget)
-           .share_weight_pins(false),
+           .weight_residency_bytes(resid_budget),
        prefill_trace},
   };
   const SectionRun s3 = run_section(s3_cases);
@@ -438,9 +433,10 @@ int main(int argc, char** argv) {
   print_planner("chunked prefill (128 tok)", chunked);
   print_planner("resident-chunked (128 tok)", resident);
   print_planner("resident + lane chaining", chained);
-  std::printf("\n  residency: %zu pins, %zu fallbacks, peak pinned %.2f GiB, "
-              "%.1f GiB weight DMA avoided\n",
-              resident.weight_pins, resident.weight_pin_fallbacks,
+  std::printf("\n  residency: %zu pins, %zu rides, %zu fallbacks, peak pinned "
+              "%.2f GiB, %.1f GiB weight DMA avoided\n",
+              resident.weight_pins, resident.weight_shared_attaches,
+              resident.weight_pin_fallbacks,
               static_cast<double>(resident.peak_pinned_bytes) /
                   (1024.0 * 1024.0 * 1024.0),
               static_cast<double>(resident.cc_weight_bytes_saved) /
@@ -460,14 +456,13 @@ int main(int argc, char** argv) {
   std::printf("resident chaining cuts CC weight traffic at equal chunk size "
               "without makespan cost: %s\n",
               resident_wins ? "yes" : "NO");
-  // Lane chaining exists to shorten pin hold times: it must convert
-  // that into strictly more pinned traffic than plain residency.
-  const bool chaining_wins =
-      chained.cc_weight_fetch_bytes < resident.cc_weight_fetch_bytes &&
-      chained.weight_pins > resident.weight_pins;
-  std::printf("lane chaining pins more requests and fetches less than plain "
-              "residency: %s\n",
-              chaining_wins ? "yes" : "NO");
+  // The trace serves a single model, so its pin must charge the budget
+  // at most one layer-group set at a time while later requests ride it.
+  const bool charged_once = resident.peak_pinned_bytes <= full_set &&
+                            resident.weight_shared_attaches > 0;
+  std::printf("budget charged once per model (peak <= one layer-group set, "
+              "riders attach free): %s\n",
+              charged_once ? "yes" : "NO");
   std::printf("remaining makespan gap to monolithic: %+.1f %% (chunked was "
               "%+.1f %%)\n",
               100.0 * (resident.makespan_ms - mono.makespan_ms) /
@@ -475,81 +470,6 @@ int main(int argc, char** argv) {
               100.0 * (chunked.makespan_ms - mono.makespan_ms) /
                   mono.makespan_ms);
   print_section_wall(s3);
-
-  // --- 4. Shared vs per-request weight pins -------------------------------
-  // The same 12-request same-model trace: all in-flight requests serve
-  // SPHINX-Tiny, so per-request pins duplicate the identical layer-group
-  // bytes and halve the effective residency capacity. One refcounted pin
-  // per model charges the budget once; every later request rides it for
-  // free and skips the pinned layers' weight DMA on ALL its chunks.
-  std::printf("\n--- shared vs per-request weight pins (same trace, "
-              "multi-request same-model) ---\n\n");
-  // Pinned to the PR 4 composition — fill barrier OFF (the fill-timing-
-  // optimistic accounting this section's headline was measured with);
-  // §6 replays shared pins with the barrier on and prices the optimism.
-  const std::vector<serve::SweepCase> s4_cases = {
-      {"s4 shared", chip8, sphinx_models,
-       continuous_config(true)
-           .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(128))
-           .weight_residency_bytes(resid_budget)  // sharing defaults on
-           .rider_fill_barrier(false),
-       prefill_trace},
-      {"s4 shared-chained", chip8, sphinx_models,
-       continuous_config(true)
-           .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(
-               128, /*chain_lane_affinity=*/true))
-           .weight_residency_bytes(resid_budget)
-           .rider_fill_barrier(false),
-       prefill_trace},
-  };
-  const SectionRun s4 = run_section(s4_cases);
-  track(s4_cases, s4);
-  json_section("shared_pins", s4_cases, s4);
-  const auto& shared = s4.outcomes[0].result;
-  const auto& shared_chained = s4.outcomes[1].result;
-
-  auto print_pins = [](const char* label, const serve::ServingResult& r) {
-    std::printf("  %-28s CC weight fetch %7.1f GiB  makespan %8.1f ms  "
-                "%3zu pins %3zu rides %3zu fallbacks  peak %.2f GiB\n",
-                label,
-                static_cast<double>(r.cc_weight_fetch_bytes) /
-                    (1024.0 * 1024.0 * 1024.0),
-                r.makespan_ms, r.weight_pins, r.weight_shared_attaches,
-                r.weight_pin_fallbacks,
-                static_cast<double>(r.peak_pinned_bytes) /
-                    (1024.0 * 1024.0 * 1024.0));
-  };
-  print_pins("per-request pins", resident);
-  print_pins("shared (refcounted) pins", shared);
-  print_pins("per-request + chaining", chained);
-  print_pins("shared + chaining", shared_chained);
-
-  // The bugfix gates: sharing must strictly cut both the fallbacks (no
-  // same-model request is ever turned away by its own model's bytes) and
-  // the CC weight traffic, while charging the budget at most one
-  // layer-group set at a time (the trace serves a single model).
-  const bool sharing_wins =
-      shared.cc_weight_fetch_bytes < resident.cc_weight_fetch_bytes &&
-      shared.weight_pin_fallbacks < resident.weight_pin_fallbacks;
-  std::printf("\nshared pins fetch strictly less and fall back strictly less "
-              "than per-request: %s\n",
-              sharing_wins ? "yes" : "NO");
-  const bool charged_once = shared.peak_pinned_bytes <= full_set &&
-                            shared.weight_shared_attaches > 0;
-  std::printf("budget charged once per model (peak <= one layer-group set, "
-              "riders attach free): %s\n",
-              charged_once ? "yes" : "NO");
-  std::printf("weight DMA avoided: %.1f GiB shared vs %.1f GiB per-request "
-              "(%.1f / %.1f GiB with chaining)\n",
-              static_cast<double>(shared.cc_weight_bytes_saved) /
-                  (1024.0 * 1024.0 * 1024.0),
-              static_cast<double>(resident.cc_weight_bytes_saved) /
-                  (1024.0 * 1024.0 * 1024.0),
-              static_cast<double>(shared_chained.cc_weight_bytes_saved) /
-                  (1024.0 * 1024.0 * 1024.0),
-              static_cast<double>(chained.cc_weight_bytes_saved) /
-                  (1024.0 * 1024.0 * 1024.0));
-  print_section_wall(s4);
 
   // --- 5. Fidelity sweep --------------------------------------------------
   std::printf("\n--- fidelity sweep (burst/block coarsening) ---\n");
@@ -834,19 +754,14 @@ int main(int argc, char** argv) {
   const serve::ClusterOutcome one_chip = serve::run_cluster(
       chip8, zoo, s6_demand_case.engine, serve::ClusterConfig{}, zoo_trace);
   const auto& s6_demand = s6.outcomes[2];
-  bool cluster_identity_ok =
+  const bool cluster_identity_ok =
       one_chip.result.per_chip.size() == 1 &&
-      serve::results_identical(one_chip.result.per_chip[0], s6_demand.result) &&
+      one_chip.result.per_chip[0] == s6_demand.result &&
       one_chip.result.completed == s6_demand.result.completed &&
       one_chip.result.makespan == s6_demand.result.makespan &&
       one_chip.result.p99_latency_ms == s6_demand.result.p99_latency_ms &&
       one_chip.result.tokens_per_second == s6_demand.result.tokens_per_second &&
-      one_chip.records.size() == s6_demand.records.size();
-  for (std::size_t i = 0; cluster_identity_ok && i < one_chip.records.size();
-       ++i) {
-    cluster_identity_ok =
-        serve::record_identical(one_chip.records[i], s6_demand.records[i]);
-  }
+      one_chip.records == s6_demand.records;
   std::printf("  1-chip cluster bit-identical to the single-engine §6 "
               "replay (result + all records): %s\n",
               cluster_identity_ok ? "yes" : "NO");
@@ -1229,16 +1144,9 @@ int main(int argc, char** argv) {
   // Gate (a): an idle fat backend is free — NoOffload with the GPU
   // configured replays byte-identically (result AND every record) to
   // the EdgeMM-only config.
-  bool s10_identity_ok =
-      serve::results_identical(het_local, het_noop) &&
-      s10.outcomes[0].records.size() == s10.outcomes[1].records.size();
-  if (s10_identity_ok) {
-    for (std::size_t i = 0; i < s10.outcomes[0].records.size(); ++i) {
-      s10_identity_ok = s10_identity_ok &&
-                        serve::record_identical(s10.outcomes[0].records[i],
-                                                s10.outcomes[1].records[i]);
-    }
-  }
+  const bool s10_identity_ok =
+      het_local == het_noop &&
+      s10.outcomes[0].records == s10.outcomes[1].records;
   // Gate (b): shipping the long prefills to the fat backend wins on
   // makespan or sustained tokens/s — and it actually offloaded.
   const bool s10_offload_win =
@@ -1459,8 +1367,7 @@ int main(int argc, char** argv) {
   json.end_object();
 
   const bool ok = beats && slo_wins && chunk_wins && resident_wins &&
-                  chaining_wins && sharing_wins && charged_once &&
-                  placement_wins && barrier_honest && eviction_exercised &&
+                  charged_once && placement_wins && barrier_honest && eviction_exercised &&
                   fidelity_ok && zoo_speedup_ok && s2_speedup_ok &&
                   identity_ok && throughput_ok && cluster_identity_ok &&
                   replica_scaling_ok && kv_conservation_ok &&
@@ -1475,8 +1382,6 @@ int main(int argc, char** argv) {
   json.field("slo_wins", slo_wins);
   json.field("chunk_wins", chunk_wins);
   json.field("resident_wins", resident_wins);
-  json.field("chaining_wins", chaining_wins);
-  json.field("sharing_wins", sharing_wins);
   json.field("charged_once", charged_once);
   json.field("placement_wins", placement_wins);
   json.field("barrier_honest", barrier_honest);

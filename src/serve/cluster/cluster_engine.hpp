@@ -99,6 +99,10 @@ struct ClusterResult {
   /// Each chip's own replay result, chip order (a chip that received no
   /// requests reports a default ServingResult).
   std::vector<ServingResult> per_chip;
+
+  /// Exact, including the floating-point metrics: identical replays
+  /// produce identical bits.
+  bool operator==(const ClusterResult&) const = default;
 };
 
 /// Result + merged per-request records (original trace order; in
@@ -120,11 +124,8 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
                            const ClusterConfig& cluster,
                            std::vector<Request> requests);
 
-/// Field-by-field equality of two cluster results (exact, including the
-/// floating-point metrics and every per-chip result).
-bool cluster_results_identical(const ClusterResult& a, const ClusterResult& b);
-
-/// Outcome equality: result plus every merged record, field by field.
+/// Outcome equality: result plus every merged record (exact, including
+/// the floating-point metrics and every per-chip result).
 bool cluster_outcomes_identical(const ClusterOutcome& a,
                                 const ClusterOutcome& b);
 

@@ -25,11 +25,11 @@ std::uint64_t name_hash(const std::string& name) {
 
 double derive_keep_fraction(const model::MllmConfig& model,
                             const TaskProxyPruningOptions& options) {
-  if (options.min_agreement < 0.0 || options.min_agreement > 1.0) {
+  if (!(0.0 <= options.min_agreement && options.min_agreement <= 1.0)) {
     throw std::invalid_argument(
         "derive_keep_fraction: min_agreement must be in [0, 1]");
   }
-  if (!(options.min_keep_fraction > 0.0) || options.min_keep_fraction > 1.0) {
+  if (!(0.0 < options.min_keep_fraction && options.min_keep_fraction <= 1.0)) {
     throw std::invalid_argument(
         "derive_keep_fraction: min_keep_fraction must be in (0, 1]");
   }
@@ -100,16 +100,6 @@ EngineConfig::EngineConfig()
       offload_(std::make_shared<NoOffload>()),
       quality_(std::make_shared<StaticQuality>()) {}
 
-EngineConfig EngineConfig::from_legacy(const ServingOptions& options) {
-  EngineConfig config;
-  config.scheduler(std::make_shared<ConcurrencyPolicy>(options.admission))
-      .manage_bandwidth(options.manage_bandwidth)
-      .bandwidth_policy(options.policy)
-      .rebalance_interval(options.rebalance_interval)
-      .prune_keep_fraction(options.prune_keep_fraction);
-  return config;
-}
-
 EngineConfig& EngineConfig::scheduler(
     std::shared_ptr<const SchedulerPolicy> policy) {
   if (!policy) {
@@ -154,7 +144,7 @@ EngineConfig& EngineConfig::rebalance_interval(Cycle interval) {
 }
 
 EngineConfig& EngineConfig::prune_keep_fraction(double fraction) {
-  if (!(fraction > 0.0) || fraction > 1.0) {
+  if (!(0.0 < fraction && fraction <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: prune_keep_fraction must be in (0, 1]");
   }
@@ -163,11 +153,11 @@ EngineConfig& EngineConfig::prune_keep_fraction(double fraction) {
 }
 
 EngineConfig& EngineConfig::task_proxy_pruning(TaskProxyPruningOptions options) {
-  if (options.min_agreement < 0.0 || options.min_agreement > 1.0) {
+  if (!(0.0 <= options.min_agreement && options.min_agreement <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: task-proxy min_agreement must be in [0, 1]");
   }
-  if (!(options.min_keep_fraction > 0.0) || options.min_keep_fraction > 1.0) {
+  if (!(0.0 < options.min_keep_fraction && options.min_keep_fraction <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: task-proxy min_keep_fraction must be in (0, 1]");
   }
@@ -212,11 +202,6 @@ EngineConfig& EngineConfig::weight_residency_bytes(Bytes bytes) {
   return *this;
 }
 
-EngineConfig& EngineConfig::share_weight_pins(bool enabled) {
-  share_weight_pins_ = enabled;
-  return *this;
-}
-
 EngineConfig& EngineConfig::placement_policy(
     std::shared_ptr<const PlacementPolicy> policy) {
   if (!policy) {
@@ -241,27 +226,8 @@ EngineConfig& EngineConfig::deadline_ordered_queue(bool enabled) {
   return *this;
 }
 
-EngineConfig& EngineConfig::lane_chain_limit(std::size_t limit) {
-  lane_chain_limit_ = limit;
-  return *this;
-}
-
 EngineConfig& EngineConfig::phase(EnginePhase phase) {
   phase_ = phase;
-  return *this;
-}
-
-EngineConfig& EngineConfig::per_group_fill_landing(bool enabled) {
-  per_group_fill_landing_ = enabled;
-  return *this;
-}
-
-EngineConfig& EngineConfig::demand_decay_tau_s(double seconds) {
-  if (!(seconds > 0.0)) {
-    throw std::invalid_argument(
-        "EngineConfig: demand_decay_tau_s must be positive");
-  }
-  demand_decay_tau_s_ = seconds;
   return *this;
 }
 
@@ -295,7 +261,7 @@ EngineConfig& EngineConfig::quality_policy(
 }
 
 EngineConfig& EngineConfig::quality_band(double min_keep, double max_keep) {
-  if (!(min_keep > 0.0) || min_keep > max_keep || max_keep > 1.0) {
+  if (!(0.0 < min_keep && min_keep <= max_keep && max_keep <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: quality_band needs 0 < min_keep <= max_keep <= 1");
   }
@@ -309,8 +275,8 @@ void EngineConfig::validate() const {
       !quality_) {
     throw std::invalid_argument("EngineConfig: missing policy");
   }
-  if (!(quality_min_keep_ > 0.0) || quality_min_keep_ > quality_max_keep_ ||
-      quality_max_keep_ > 1.0) {
+  if (!(0.0 < quality_min_keep_ && quality_min_keep_ <= quality_max_keep_ &&
+        quality_max_keep_ <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: quality band needs 0 < min_keep <= max_keep <= 1");
   }
@@ -320,7 +286,7 @@ void EngineConfig::validate() const {
         "EngineConfig: the KV budget must hold at least one kv_page_bytes "
         "page under paged_kv");
   }
-  if (!(prune_keep_fraction_ > 0.0) || prune_keep_fraction_ > 1.0) {
+  if (!(0.0 < prune_keep_fraction_ && prune_keep_fraction_ <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: prune_keep_fraction must be in (0, 1]");
   }

@@ -1,8 +1,6 @@
 // EngineConfig: composes the serving engine's policies and knobs.
 //
-// Replaces the PR-1 flat ServingOptions struct (kept below as a
-// deprecated shim). A config is built fluently and validated once by
-// the engine:
+// A config is built fluently and validated once by the engine:
 //
 //   auto cfg = EngineConfig()
 //                  .scheduler(std::make_shared<SloAwarePolicy>(limits))
@@ -62,21 +60,6 @@ double quality_accuracy_proxy(const model::MllmConfig& model,
                               double keep_fraction,
                               const TaskProxyPruningOptions& options = {});
 
-/// DEPRECATED PR-1 engine knobs, kept so existing call sites compile.
-/// Convert with EngineConfig::from_legacy or pass to the deprecated
-/// ServingEngine constructor.
-struct ServingOptions {
-  AdmissionLimits admission{};
-  /// Adaptive CC:MC budget rebalancing; false = static equal sharing
-  /// (the §IV-B baseline, PMC throttles still armed).
-  bool manage_bandwidth = true;
-  core::BandwidthPolicy policy{};
-  /// Fraction of prunable FFN rows kept during decode (§IV-A); 1 = off.
-  double prune_keep_fraction = 1.0;
-  /// Cycles between bandwidth rebalances; 0 = the DMA throttle interval.
-  Cycle rebalance_interval = 0;
-};
-
 // EnginePhase lives in serve/policy.hpp (included above) so
 // OffloadContext can carry it; every EngineConfig user still sees it.
 
@@ -87,9 +70,6 @@ class EngineConfig {
   /// AdmissionLimits, monolithic prefill, FIFO decode joins, bandwidth
   /// management on, pruning and KV accounting off.
   EngineConfig();
-
-  /// The PR-1 shim: a ServingOptions mapped onto equivalent policies.
-  static EngineConfig from_legacy(const ServingOptions& options);
 
   // --- Builder setters (each validates its argument eagerly) -------------
   EngineConfig& scheduler(std::shared_ptr<const SchedulerPolicy> policy);
@@ -140,35 +120,25 @@ class EngineConfig {
   /// chains_weight_residency() (the engine validates against the chip's
   /// scratchpad at construction: the budget must stay within
   /// kMaxWeightResidencyOversubscription x the CC TCDM; see
-  /// chip_weight_residency_capacity for sizing).
+  /// chip_weight_residency_capacity for sizing). Pins are keyed by
+  /// MODEL: the first attaching request fetches and charges the budget,
+  /// later same-model requests ride the refcounted pin for free until
+  /// the last attached request's prefill retires.
   EngineConfig& weight_residency_bytes(Bytes bytes);
-  /// Share one refcounted weight pin per MODEL across its in-flight
-  /// requests (default: true). A model's layer-group weights are the
-  /// same bytes whichever request streams them, so the first attaching
-  /// request fetches and charges the budget and later same-model
-  /// requests ride the pin for free — their chunks skip the pinned
-  /// layers' weight DMA immediately — until the last attached request's
-  /// prefill retires. false restores the PR 3 per-request pins (every
-  /// request charges the full layer-group bytes; kept for the bench
-  /// baseline and A/B comparisons). No effect unless weight residency
-  /// is active; with at most one in-flight request per model the two
-  /// modes replay identically.
-  EngineConfig& share_weight_pins(bool enabled);
   /// Residency-aware model placement: which models' pins to hold,
   /// acquire or evict against the shared budget (see PlacementPolicy).
   /// Default KeepCurrentPlacement — first-come pinning, eviction at
   /// refcount zero — which reproduces the placement-oblivious engine
-  /// bit-for-bit. Only consulted when weight residency is active and
-  /// share_weight_pins is on (per-request pin keys are never reused, so
-  /// there is nothing to place). Throws std::invalid_argument on null.
+  /// bit-for-bit. Only consulted when weight residency is active.
+  /// Throws std::invalid_argument on null.
   EngineConfig& placement_policy(std::shared_ptr<const PlacementPolicy> policy);
   /// Honest shared-pin fill timing (default: true): a fresh pin's bytes
   /// only count as on-chip once the owner's fill chunk retires, so a
-  /// rider chunk dispatched before that re-fetches the not-yet-landed
+  /// rider chunk dispatched before that re-fetches the whole pin's
   /// layer groups (ledgered as ServingResult::rider_refetch_bytes).
   /// false restores the PR 4 fill-timing-optimistic model — riders skip
   /// weight DMA the moment they attach — kept for A/B comparisons and
-  /// the bench baselines. No effect without shared weight pins (a pin's
+  /// the bench baselines. No effect without weight residency (a pin's
   /// owner is always ordered after its own fill).
   EngineConfig& rider_fill_barrier(bool enabled);
   /// Execution tier for the replay (default kDetailed): kFast prices op
@@ -183,12 +153,6 @@ class EngineConfig {
   /// Requests without a deadline sort last under EDF; with no deadlines
   /// in the trace EDF degenerates to arrival order.
   EngineConfig& deadline_ordered_queue(bool enabled);
-  /// Bounds lane-affinity chaining: at most `limit` consecutive
-  /// same-affinity jobs are preferred over the FIFO head before the lane
-  /// takes the head regardless (head-of-line fairness vs pin hold time).
-  /// 0 (default) = unbounded, reproducing the PR 3 chaining bit-for-bit.
-  /// Only meaningful when the planner prefers lane affinity.
-  EngineConfig& lane_chain_limit(std::size_t limit);
   /// Serving stage split for disaggregated clusters (default kFull: the
   /// single-chip engine, byte-identical to every prior PR). kPrefillOnly
   /// retires each request at prefill end — zero tokens generated, the
@@ -196,22 +160,6 @@ class EngineConfig {
   /// treats each arrival as its KV landing on this chip. Set by
   /// ClusterEngine; composable with any policy set.
   EngineConfig& phase(EnginePhase phase);
-  /// Per-layer-group fill landing for the rider fill barrier (default:
-  /// false = the PR 5 pin-granular barrier, byte-identical). When on, a
-  /// chunk that fetches not-yet-landed pinned groups LANDS them at its
-  /// retirement — the owner's fill chunk and rider re-fetches alike — so
-  /// a later rider re-fetches only the groups still in flight instead of
-  /// the whole pinned set. Tightens rider_refetch_bytes; no effect with
-  /// the barrier off or without shared pins.
-  EngineConfig& per_group_fill_landing(bool enabled);
-  /// Time constant (seconds of simulated time) of the per-model demand
-  /// EWMA the engine maintains for placement policies
-  /// (ModelDemand::demand_decayed): the signal relaxes toward the live
-  /// queued+inflight count with e^(-dt/tau). Smaller = more reactive,
-  /// larger = longer memory of past bursts. Default 1.0 s (about one
-  /// zoo-trace burst gap); must be positive. The EWMA is maintained
-  /// regardless — this only tunes it; policies opt in by reading it.
-  EngineConfig& demand_decay_tau_s(double seconds);
   /// Pairs a fat backend (a GpuBackend over this spec, sharing the
   /// EdgeMM chip's simulator) with the engine, so an OffloadPolicy can
   /// route prefill chunks to it. Validates the spec eagerly (throws
@@ -261,15 +209,11 @@ class EngineConfig {
   bool kv_prefix_sharing() const { return kv_prefix_sharing_; }
   const SwapPolicy& kv_swap_policy() const { return *swap_policy_; }
   Bytes weight_residency() const { return weight_residency_bytes_; }
-  bool share_weight_pins() const { return share_weight_pins_; }
   const PlacementPolicy& placement() const { return *placement_; }
   bool rider_fill_barrier() const { return rider_fill_barrier_; }
   core::ReplayMode replay_mode() const { return replay_mode_; }
   bool deadline_ordered_queue() const { return deadline_ordered_queue_; }
-  std::size_t lane_chain_limit() const { return lane_chain_limit_; }
   EnginePhase phase() const { return phase_; }
-  bool per_group_fill_landing() const { return per_group_fill_landing_; }
-  double demand_decay_tau_s() const { return demand_decay_tau_s_; }
   const std::optional<baselines::GpuSpec>& fat_backend() const {
     return fat_backend_;
   }
@@ -308,14 +252,10 @@ class EngineConfig {
   bool kv_prefix_sharing_ = true;
   std::shared_ptr<const SwapPolicy> swap_policy_;
   Bytes weight_residency_bytes_ = 0;
-  bool share_weight_pins_ = true;
   bool rider_fill_barrier_ = true;
   core::ReplayMode replay_mode_ = core::ReplayMode::kDetailed;
   bool deadline_ordered_queue_ = false;
-  std::size_t lane_chain_limit_ = 0;
   EnginePhase phase_ = EnginePhase::kFull;
-  bool per_group_fill_landing_ = false;
-  double demand_decay_tau_s_ = 1.0;
   std::optional<baselines::GpuSpec> fat_backend_;
   std::shared_ptr<const OffloadPolicy> offload_;
   bool kv_swap_refill_dma_ = false;

@@ -35,6 +35,8 @@ struct Request {
   /// Leading prompt tokens shared with the group (<= input_tokens);
   /// ignored when prefix_id is 0.
   std::size_t prefix_tokens = 0;
+
+  bool operator==(const Request&) const = default;
 };
 
 /// Lifecycle timestamps the engine records per request (all in cycles).
@@ -75,6 +77,10 @@ struct RequestRecord {
   bool deadline_met() const {
     return done && (request.deadline == 0 || finish <= request.deadline);
   }
+
+  /// Exact: request identity, every replay timestamp and the terminal
+  /// flags (identical replays produce identical bits).
+  bool operator==(const RequestRecord&) const = default;
 };
 
 }  // namespace edgemm::serve

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/assert.hpp"
 #include "model/workload.hpp"
 
 namespace edgemm::serve {
@@ -49,8 +50,22 @@ WeightResidencyTracker::AttachResult WeightResidencyTracker::attach_layers(
     }
     return {it->second.layers, /*shared=*/true, warm};
   }
-  const std::size_t fit = try_pin_layers(key, bytes_per_layer, max_layers);
-  if (fit == 0) return {0, false, false};  // fallback counted by try_pin_layers
+  // A fresh pin: as many whole layer groups as fit the budget. Filling
+  // it to exactly capacity succeeds; a budget without room for one
+  // group is ONE fallback and holds nothing.
+  const std::size_t fit =
+      std::min<std::size_t>(max_layers, available() / bytes_per_layer);
+  if (fit == 0) {
+    ++fallbacks_;
+    return {0, false, false};
+  }
+  // Cannot fail: `fit` layer groups fit the available budget by
+  // construction, and `key` holds no pin yet.
+  const bool acquired =
+      ledger_.try_acquire(key, static_cast<Bytes>(fit) * bytes_per_layer);
+  EDGEMM_ASSERT(acquired);
+  peak_pinned_ = std::max(peak_pinned_, ledger_.held());
+  ++pins_;
   pins_by_key_.emplace(key, Pin{fit, 1, /*filled=*/false});
   return {fit, /*shared=*/false, /*warm=*/false};
 }
@@ -73,22 +88,6 @@ void WeightResidencyTracker::mark_filled(PinKey key) {
     throw std::logic_error("WeightResidencyTracker: mark_filled without a pin");
   }
   it->second.filled = true;
-  it->second.landed = it->second.layers;
-}
-
-void WeightResidencyTracker::mark_landed(PinKey key, std::size_t up_to) {
-  const auto it = pins_by_key_.find(key);
-  if (it == pins_by_key_.end()) {
-    throw std::logic_error("WeightResidencyTracker: mark_landed without a pin");
-  }
-  Pin& pin = it->second;
-  pin.landed = std::max(pin.landed, std::min(up_to, pin.layers));
-  if (pin.landed == pin.layers) pin.filled = true;
-}
-
-std::size_t WeightResidencyTracker::landed_layers(PinKey key) const {
-  const auto it = pins_by_key_.find(key);
-  return it == pins_by_key_.end() ? 0 : it->second.landed;
 }
 
 bool WeightResidencyTracker::filled(PinKey key) const {
@@ -149,36 +148,5 @@ std::size_t WeightResidencyTracker::resident_layers(PinKey key) const {
   const auto it = pins_by_key_.find(key);
   return it == pins_by_key_.end() ? 0 : it->second.layers;
 }
-
-bool WeightResidencyTracker::try_pin(RequestId id, Bytes bytes) {
-  if (!ledger_.try_acquire(id, bytes)) {
-    ++fallbacks_;
-    return false;
-  }
-  peak_pinned_ = std::max(peak_pinned_, ledger_.held());
-  ++pins_;
-  return true;
-}
-
-std::size_t WeightResidencyTracker::try_pin_layers(RequestId id,
-                                                   Bytes bytes_per_layer,
-                                                   std::size_t max_layers) {
-  if (bytes_per_layer == 0 || max_layers == 0) {
-    throw std::invalid_argument(
-        "WeightResidencyTracker: layer group size and count must be > 0");
-  }
-  const std::size_t fit =
-      std::min<std::size_t>(max_layers, available() / bytes_per_layer);
-  if (fit == 0) {
-    ++fallbacks_;
-    return 0;
-  }
-  // Cannot fail: `fit` layer groups fit the available budget by
-  // construction (and the duplicate-pin check throws, not returns).
-  try_pin(id, static_cast<Bytes>(fit) * bytes_per_layer);
-  return fit;
-}
-
-void WeightResidencyTracker::release(RequestId id) { ledger_.release(id); }
 
 }  // namespace edgemm::serve

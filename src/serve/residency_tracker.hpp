@@ -23,10 +23,7 @@
 // so two in-flight requests serving the same model share ONE pin — the
 // first attach fetches and charges the budget, later attaches under the
 // same key ride for free (shared_attaches counter), and the bytes are
-// released only when the LAST attached request detaches. The PR 3
-// per-request behavior (every request charges the full bytes) is
-// recovered by simply keying attaches by request id instead of model
-// id, which makes every attach a fresh pin.
+// released only when the LAST attached request detaches.
 //
 // Two PR 5 extensions make the pins placement- and timing-aware:
 //   - FILL BARRIER: a fresh pin starts UNFILLED — its bytes are only on
@@ -61,7 +58,6 @@
 #include "core/config.hpp"
 #include "model/mllm_config.hpp"
 #include "serve/byte_ledger.hpp"
-#include "serve/request.hpp"
 
 namespace edgemm::serve {
 
@@ -86,11 +82,8 @@ Bytes llm_layer_group_bytes(const model::MllmConfig& model,
                             const core::ChipConfig& config);
 
 /// Key a weight pin is held under. The serving engine uses the MODEL
-/// index in shared mode — every in-flight request of a model attaches
-/// to one refcounted pin — and the request id in the legacy per-request
-/// mode, where keys are unique so every attach charges a fresh pin. A
-/// key must stay on one API: either the refcounted attach/detach pair
-/// or the low-level try_pin/release pair, never both.
+/// index: every in-flight request of a model attaches to one refcounted
+/// pin.
 using PinKey = std::uint64_t;
 
 /// Pin/release ledger over a fixed byte capacity (a ByteLedger plus the
@@ -167,28 +160,13 @@ class WeightResidencyTracker {
   void detach(PinKey key, bool keep_resident = false);
 
   /// Marks `key`'s pin as filled: its owner's fill fetch has retired and
-  /// the bytes are genuinely on chip, so riders stop re-fetching (all
-  /// layers count as landed). Throws std::logic_error when `key` holds
-  /// no pin.
+  /// the bytes are genuinely on chip, so riders stop re-fetching. Throws
+  /// std::logic_error when `key` holds no pin.
   void mark_filled(PinKey key);
 
   /// True when `key`'s pin exists and its fill has landed. False for an
   /// unfilled pin AND for no pin at all (nothing to ride either way).
   bool filled(PinKey key) const;
-
-  /// Per-group fill landing: records that the pin's first `up_to` layer
-  /// groups are genuinely on chip (a chunk that fetched them retired —
-  /// the owner's fill chunk or a rider's own re-fetch, whichever lands
-  /// first). Landing is monotone (up_to below the current mark is a
-  /// no-op) and clamped to the pin's layer count; landing every group
-  /// marks the pin filled. Throws std::logic_error when `key` holds no
-  /// pin.
-  void mark_landed(PinKey key, std::size_t up_to);
-
-  /// Layer groups of `key`'s pin whose fill has landed (0 = no pin; a
-  /// filled pin reports its full layer count). Riders under the
-  /// per-group fill barrier re-fetch only the groups above this mark.
-  std::size_t landed_layers(PinKey key) const;
 
   /// Evicts `key`'s IDLE pin (refcount zero, kept warm): the bytes are
   /// released and idle_evictions is counted. Throws std::logic_error
@@ -206,21 +184,6 @@ class WeightResidencyTracker {
   /// (0 = no pin).
   std::size_t resident_layers(PinKey key) const;
 
-  // --- Low-level non-refcounted core (attach_layers builds on these) ----
-  /// Pins `bytes` for `id`. Filling the budget to exactly capacity
-  /// succeeds; one byte over fails (and counts a fallback). Throws
-  /// std::logic_error when `id` already holds a pin.
-  bool try_pin(RequestId id, Bytes bytes);
-
-  /// Pins as many whole layer groups of `bytes_per_layer` as fit, up to
-  /// `max_layers`; returns the number pinned (0 = fallback, counted).
-  /// Throws std::invalid_argument for zero bytes_per_layer or max_layers.
-  std::size_t try_pin_layers(RequestId id, Bytes bytes_per_layer,
-                             std::size_t max_layers);
-
-  /// Releases `id`'s pin; throws std::logic_error if absent.
-  void release(RequestId id);
-
  private:
   /// One refcounted pin (attach_layers/detach bookkeeping on top of the
   /// ledger entry held under the same key). refs == 0 with the entry
@@ -231,8 +194,6 @@ class WeightResidencyTracker {
     /// False until the owner's fill fetch retires (mark_filled); riders
     /// of an unfilled pin re-fetch under the engine's fill barrier.
     bool filled = false;
-    /// Layer groups already landed (mark_landed); layers once filled.
-    std::size_t landed = 0;
   };
 
   ByteLedger ledger_;

@@ -60,8 +60,7 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     }
     residency_.emplace(engine_config_.weight_residency());
     if (engine_config_.prefill_planner().prefers_lane_affinity()) {
-      local_.scheduler().set_affinity_chaining(Lane::kCcStage, true,
-                                               engine_config_.lane_chain_limit());
+      local_.scheduler().set_affinity_chaining(Lane::kCcStage, true);
     }
   }
 
@@ -141,12 +140,6 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
         engine_config_.fat_backend()->memory_bandwidth / config_.clock_hz;
   }
 }
-
-ServingEngine::ServingEngine(const core::ChipConfig& config,
-                             std::vector<model::MllmConfig> models,
-                             ServingOptions options)
-    : ServingEngine(config, std::move(models),
-                    EngineConfig::from_legacy(options)) {}
 
 void ServingEngine::set_completion_callback(CompletionCallback callback) {
   on_complete_ = std::move(callback);
@@ -383,14 +376,21 @@ OffloadTarget ServingEngine::judge_offload(std::size_t index,
   return engine_config_.offload_policy().place_chunk(r, ctx);
 }
 
+namespace {
+
+/// Time constant (seconds of simulated time) of the per-model demand
+/// EWMA, about one zoo-trace burst gap.
+constexpr double kDemandDecayTauS = 1.0;
+
+}  // namespace
+
 void ServingEngine::refresh_decayed_demand() {
   // Relax every model's EWMA toward its live demand over the elapsed sim
   // time, BEFORE the caller mutates the live counts — the decayed signal
   // remembers what demand looked like across the gap, not after it.
   const Cycle now = local_.simulator().now();
   if (now == demand_decayed_at_) return;
-  const double tau = engine_config_.demand_decay_tau_s() *
-                     static_cast<double>(config_.clock_hz);
+  const double tau = kDemandDecayTauS * static_cast<double>(config_.clock_hz);
   const double alpha =
       std::exp(-static_cast<double>(now - demand_decayed_at_) / tau);
   for (std::size_t m = 0; m < models_.size(); ++m) {
@@ -431,11 +431,11 @@ ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
   plan.built_keep = prefill_keep(index);
   for (std::size_t c = 0; c < chunk_tokens.size(); ++c) {
     std::vector<GemmWork> ops =
-        build_chunk_ops(r, plan, c, kNoResidentCap, plan.built_keep);
+        build_chunk_ops(r, plan, c, /*ride_pin=*/true, plan.built_keep);
     const Bytes bytes = cc_job_bytes(ops);
     const Bytes full =
         plan.built_keep < 1.0
-            ? cc_job_bytes(build_chunk_ops(r, plan, c, kNoResidentCap, 1.0))
+            ? cc_job_bytes(build_chunk_ops(r, plan, c, /*ride_pin=*/true, 1.0))
             : bytes;
     plan.jobs.push_back(std::move(ops));
     plan.job_bytes.push_back(bytes);
@@ -450,11 +450,11 @@ void ServingEngine::rebuild_chunk(std::size_t index, PrefillPlan& plan,
                                   std::size_t chunk) {
   const Request& r = records_[index].request;
   std::vector<GemmWork> ops =
-      build_chunk_ops(r, plan, chunk, kNoResidentCap, plan.built_keep);
+      build_chunk_ops(r, plan, chunk, /*ride_pin=*/true, plan.built_keep);
   const Bytes bytes = cc_job_bytes(ops);
   const Bytes full =
       plan.built_keep < 1.0
-          ? cc_job_bytes(build_chunk_ops(r, plan, chunk, kNoResidentCap, 1.0))
+          ? cc_job_bytes(build_chunk_ops(r, plan, chunk, /*ride_pin=*/true, 1.0))
           : bytes;
   plan.total_bytes -= plan.job_bytes[chunk];
   plan.total_bytes += bytes;
@@ -563,7 +563,7 @@ double ServingEngine::accuracy_for(std::size_t model, double keep) {
 
 std::vector<GemmWork> ServingEngine::build_chunk_ops(
     const Request& r, const PrefillPlan& plan, std::size_t chunk,
-    std::size_t resident_cap, double ffn_keep) const {
+    bool ride_pin, double ffn_keep) const {
   const model::MllmConfig& m = models_[r.model];
   std::size_t start = 0;
   for (std::size_t c = 0; c < chunk; ++c) start += plan.chunk_tokens[c];
@@ -571,13 +571,11 @@ std::vector<GemmWork> ServingEngine::build_chunk_ops(
   // prefill slice (and always fetches — it is what fills the pin).
   std::vector<GemmWork> ops =
       chunk == 0 ? model::build_encoder_ops(m, r.crops) : std::vector<GemmWork>{};
-  // resident_cap below the pinned layer count builds a barrier re-fetch:
-  // a rider dispatched before the pin's fill landed streams the weights
-  // of every not-yet-landed group itself (cap 0 = the whole pin).
+  // !ride_pin builds a barrier re-fetch: a rider dispatched before the
+  // pin's fill landed streams the weights of the whole pin itself.
   const std::size_t resident =
-      plan.resident_layers > 0 && chunk >= plan.first_resident_chunk
-          ? std::min(plan.resident_layers, resident_cap)
-          : 0;
+      ride_pin && chunk >= plan.first_resident_chunk ? plan.resident_layers
+                                                     : 0;
   // Pinned layer groups keep full FFN shapes whatever the quality seam
   // judged (full_keep_layers): the pin holds — and its fill/barrier
   // byte math assumes — the FULL weights, so a degraded request's
@@ -621,13 +619,9 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   PrefillPlan& plan = plans_.at(index);
   if (plan.pin_attached) return false;  // already riding a pin
   const Request& r = records_[index].request;
-  // Shared mode keys the pin by MODEL: all in-flight requests of the
-  // model refcount one pin and the budget is charged once. Per-request
-  // mode keys by request id — unique per request, so every attach is a
-  // fresh pin (the PR 3 behavior).
-  const bool shared_mode = engine_config_.share_weight_pins();
-  const PinKey key =
-      shared_mode ? static_cast<PinKey>(r.model) : static_cast<PinKey>(r.id);
+  // The pin is keyed by MODEL: all in-flight requests of the model
+  // refcount one pin and the budget is charged once.
+  const PinKey key = static_cast<PinKey>(r.model);
   // A brand-new pin is filled by next_chunk's fetch, so only the chunks
   // AFTER it ride it — and pinning is pointless with no tail left. An
   // attach to an existing pin — live, or kept warm by the placement
@@ -638,7 +632,7 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
       rides_existing ? next_chunk : next_chunk + 1;
   if (first_resident >= plan.jobs.size()) return false;
   std::size_t max_attach = models_[r.model].llm.layers;
-  if (!rides_existing && shared_mode) {
+  if (!rides_existing) {
     // Residency-aware placement guards every budget-charging attach
     // (riders are never guarded: sharing resident bytes is free). A
     // denied model keeps re-fetching; an allowed one under budget
@@ -713,13 +707,12 @@ void ServingEngine::drop_plan(std::size_t index) {
   if (it == plans_.end()) return;
   if (it->second.pin_attached) {
     bool keep_resident = false;
-    if (engine_config_.share_weight_pins() &&
-        residency_->refcount(it->second.pin_key) == 1) {
+    if (residency_->refcount(it->second.pin_key) == 1) {
       // Last rider detaching: the placement policy decides whether the
       // model's bytes stay on chip as an idle (warm) pin — free rides
       // for its next request — or leave now. Out-of-favor idle pins are
       // reclaimed later by evict_victims when a hotter model needs the
-      // room. Per-request keys are never reused, so nothing to retain.
+      // room.
       refresh_decayed_demand();
       keep_resident = engine_config_.placement().retain_idle(
           records_[index].request.model, placement_context());
@@ -901,63 +894,44 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   }
   // Fill barrier: a rider chunk dispatched before the pin owner's fill
   // fetch retired would skip DMA for bytes that are not on chip yet.
-  // With the barrier on it re-fetches the not-yet-landed groups instead
-  // (this chunk only — the rider's later chunks ride normally once the
-  // fill lands). Pin owners are exempt by construction: their chunks
-  // after the fill chunk are ordered behind it on the same request.
+  // With the barrier on it re-fetches the WHOLE pin instead (this chunk
+  // only — the rider's later chunks ride normally once the fill lands),
+  // so the re-fetch is exactly the pinned weight bytes the planned job
+  // skipped. Under the serial-FIFO CC lane the owner's fill is enqueued
+  // before any rider can attach, so it retires before any rider
+  // re-fetch does: no finer landing granularity could shrink the
+  // re-fetch. Pin owners are exempt by construction: their chunks after
+  // the fill chunk are ordered behind it on the same request.
   if (engine_config_.rider_fill_barrier() && residency_ &&
       plan.pin_attached && !plan.pin_owner &&
       chunk >= plan.first_resident_chunk &&
       !residency_->filled(plan.pin_key)) {
-    // Pin-granular barrier: the rider re-fetches the WHOLE pin until the
-    // owner's fill retires (resident cap 0). Per-group landing caps the
-    // re-fetch at the groups whose fill has not landed yet — and the
-    // rider's own re-fetch lands them when this chunk retires, so later
-    // rider chunks (of any request) stop re-fetching without waiting for
-    // the owner. Under the serial-FIFO CC lane the cap never bites (the
-    // owner's fill is enqueued before any rider can attach, so it
-    // retires — marking the pin filled — before any re-fetch retires);
-    // it is a correctness bound for schedulers that can retire a rider's
-    // re-fetch inside the fill window.
-    const std::size_t landed = engine_config_.per_group_fill_landing()
-                                   ? residency_->landed_layers(plan.pin_key)
-                                   : 0;
-    const auto resident_weight_bytes = [this](const std::vector<GemmWork>& ops) {
-      Bytes total = 0;
-      for (const GemmWork& op : ops) {
-        if (op.weights_resident && op.weight_elem_bytes_override == 0) {
-          total += static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
-        }
+    Bytes refetch = 0;
+    for (const GemmWork& op : plan.jobs[chunk]) {
+      if (op.weights_resident && op.weight_elem_bytes_override == 0) {
+        refetch += static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
       }
-      return total;
-    };
-    const Bytes pinned_resident = resident_weight_bytes(plan.jobs[chunk]);
-    if (pinned_resident > 0 && landed < plan.resident_layers) {
+    }
+    if (refetch > 0) {
+      rider_refetch_bytes_ += refetch;
       std::vector<GemmWork> ops =
           build_chunk_ops(records_[index].request, plan, chunk,
-                          /*resident_cap=*/landed, plan.built_keep);
-      const Bytes refetch = pinned_resident - resident_weight_bytes(ops);
-      if (refetch > 0) {
-        rider_refetch_bytes_ += refetch;
-        const Bytes bytes = cc_job_bytes(ops);
-        const Bytes full =
-            plan.built_keep < 1.0
-                ? cc_job_bytes(build_chunk_ops(records_[index].request, plan,
-                                               chunk, landed, 1.0))
-                : bytes;
-        cc_pending_bytes_ += static_cast<double>(bytes - plan.job_bytes[chunk]);
-        cc_pending_full_bytes_ += static_cast<double>(full) -
-                                  static_cast<double>(plan.job_full_bytes[chunk]);
-        plan.total_bytes += bytes - plan.job_bytes[chunk];
-        plan.total_full_bytes -= plan.job_full_bytes[chunk];
-        plan.total_full_bytes += full;
-        plan.job_full_bytes[chunk] = full;
-        plan.jobs[chunk] = std::move(ops);
-        plan.job_bytes[chunk] = bytes;
-        if (engine_config_.per_group_fill_landing()) {
-          plan.lands_to = plan.resident_layers;
-        }
-      }
+                          /*ride_pin=*/false, plan.built_keep);
+      const Bytes bytes = cc_job_bytes(ops);
+      const Bytes full =
+          plan.built_keep < 1.0
+              ? cc_job_bytes(build_chunk_ops(records_[index].request, plan,
+                                             chunk, /*ride_pin=*/false, 1.0))
+              : bytes;
+      cc_pending_bytes_ += static_cast<double>(bytes - plan.job_bytes[chunk]);
+      cc_pending_full_bytes_ += static_cast<double>(full) -
+                                static_cast<double>(plan.job_full_bytes[chunk]);
+      plan.total_bytes += bytes - plan.job_bytes[chunk];
+      plan.total_full_bytes -= plan.job_full_bytes[chunk];
+      plan.total_full_bytes += full;
+      plan.job_full_bytes[chunk] = full;
+      plan.jobs[chunk] = std::move(ops);
+      plan.job_bytes[chunk] = bytes;
     }
   }
   if (to_fat) {
@@ -1036,12 +1010,6 @@ void ServingEngine::on_chunk_done(std::size_t index) {
   // on chip now, so riders stop re-fetching (fill barrier lifts).
   if (plan.pin_attached && plan.pin_owner && chunk == plan.fill_chunk) {
     residency_->mark_filled(plan.pin_key);
-  }
-  // Per-group landing: a rider's barrier re-fetch just retired, so the
-  // groups it streamed are genuinely on chip — land them for everyone.
-  if (plan.pin_attached && plan.lands_to > 0) {
-    residency_->mark_landed(plan.pin_key, plan.lands_to);
-    plan.lands_to = 0;
   }
   // Fold the measured chunk throughput into the estimator of whichever
   // backend ran it — each EWMA divides its OWN cost model's bytes by the

@@ -59,14 +59,6 @@ struct SweepOutcome {
 std::vector<SweepOutcome> run_sweep(const std::vector<SweepCase>& cases,
                                     const SweepOptions& options = {});
 
-/// Field-by-field equality of two replay results (exact, including the
-/// floating-point metrics: identical replays produce identical bits).
-bool results_identical(const ServingResult& a, const ServingResult& b);
-
-/// Field-by-field equality of two request records (request identity,
-/// every replay timestamp, and the terminal flags — exact).
-bool record_identical(const RequestRecord& a, const RequestRecord& b);
-
 /// Outcome equality: label, result and every request record — everything
 /// except wall_ms, which measures the host, not the simulation.
 bool outcomes_identical(const SweepOutcome& a, const SweepOutcome& b);

@@ -151,10 +151,10 @@ TEST(Cluster, OneChipReplicaIsTheSingleEngineBitForBit) {
       small_cfg(), two_models(), fast_engine(), ClusterConfig{}, trace);
 
   ASSERT_EQ(cluster.result.per_chip.size(), 1u);
-  EXPECT_TRUE(results_identical(cluster.result.per_chip[0], single.result));
+  EXPECT_TRUE(cluster.result.per_chip[0] == single.result);
   ASSERT_EQ(cluster.records.size(), single.records.size());
   for (std::size_t i = 0; i < single.records.size(); ++i) {
-    EXPECT_TRUE(record_identical(cluster.records[i], single.records[i]));
+    EXPECT_TRUE(cluster.records[i] == single.records[i]);
   }
   // The aggregate recomputation lands on the very same numbers.
   EXPECT_EQ(cluster.result.completed, single.result.completed);

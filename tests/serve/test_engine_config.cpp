@@ -1,5 +1,6 @@
 #include "serve/engine_config.hpp"
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -26,23 +27,19 @@ TEST(EngineConfig, DefaultsReproducePr1Composition) {
   // baselines switch it off to reproduce the PR 4 optimistic numbers).
   EXPECT_STREQ(config.placement().name(), "keep-current");
   EXPECT_TRUE(config.rider_fill_barrier());
-  EXPECT_TRUE(config.share_weight_pins());
-  // PR 6 defaults: detailed tier, arrival-ordered queue, unbounded chains
-  // — all three knobs off keeps the engine byte-identical to PR 5.
+  // PR 6 defaults: detailed tier, arrival-ordered queue — both knobs off
+  // keeps the engine byte-identical to PR 5.
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kDetailed);
   EXPECT_FALSE(config.deadline_ordered_queue());
-  EXPECT_EQ(config.lane_chain_limit(), 0u);
 }
 
 TEST(EngineConfig, ReplayAndQueueKnobsCompose) {
   const EngineConfig config = EngineConfig()
                                   .replay_mode(core::ReplayMode::kFast)
-                                  .deadline_ordered_queue(true)
-                                  .lane_chain_limit(3);
+                                  .deadline_ordered_queue(true);
   EXPECT_NO_THROW(config.validate());
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kFast);
   EXPECT_TRUE(config.deadline_ordered_queue());
-  EXPECT_EQ(config.lane_chain_limit(), 3u);
 }
 
 TEST(EngineConfig, PlacementAndBarrierKnobsCompose) {
@@ -120,6 +117,20 @@ TEST(EngineConfig, SettersValidateEagerly) {
   bad.min_agreement = 0.9;
   bad.min_keep_fraction = 0.0;
   EXPECT_THROW(config.task_proxy_pruning(bad), std::invalid_argument);
+  // NaN fails every comparison, so it must not slip past a range check:
+  // a NaN min_agreement would silently turn pruning off, a NaN band edge
+  // would reach std::clamp.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad.min_keep_fraction = 0.1;
+  bad.min_agreement = nan;
+  EXPECT_THROW(config.task_proxy_pruning(bad), std::invalid_argument);
+  bad.min_agreement = 0.9;
+  bad.min_keep_fraction = nan;
+  EXPECT_THROW(config.task_proxy_pruning(bad), std::invalid_argument);
+  EXPECT_THROW(config.prune_keep_fraction(nan), std::invalid_argument);
+  EXPECT_THROW(config.quality_band(0.5, nan), std::invalid_argument);
+  EXPECT_THROW(config.quality_band(nan, 1.0), std::invalid_argument);
+  EXPECT_NO_THROW(config.validate());  // the rejected values never landed
 }
 
 TEST(EngineConfig, PagedKvDefaultsKeepLegacyAccounting) {
@@ -157,25 +168,6 @@ TEST(EngineConfig, PagedKvSettersValidateEagerly) {
   EXPECT_NO_THROW(tiny.paged_kv(true).kv_page_bytes(1024).validate());
 }
 
-TEST(EngineConfig, FromLegacyMapsEveryServingOption) {
-  ServingOptions options;
-  options.admission = AdmissionLimits{2, 4};
-  options.manage_bandwidth = false;
-  options.policy.max_mc_ratio = 5;
-  options.prune_keep_fraction = 0.7;
-  options.rebalance_interval = 999;
-  const EngineConfig config = EngineConfig::from_legacy(options);
-  EXPECT_STREQ(config.scheduler().name(), "concurrency");
-  EXPECT_STREQ(config.prefill_planner().name(), "monolithic");
-  EXPECT_STREQ(config.batch_policy().name(), "fifo");
-  EXPECT_FALSE(config.manage_bandwidth());
-  EXPECT_EQ(config.bandwidth_policy().max_mc_ratio, 5u);
-  EXPECT_DOUBLE_EQ(config.prune_keep_fraction(), 0.7);
-  EXPECT_EQ(config.rebalance_interval(), 999u);
-  // The legacy limits survive through the scheduler seam.
-  EXPECT_EQ(config.scheduler().decode_join_count(0, 10), 2u);
-}
-
 TEST(DeriveKeepFraction, IsDeterministicAndBounded) {
   const model::MllmConfig model = model::sphinx_tiny();
   TaskProxyPruningOptions options;
@@ -209,6 +201,8 @@ TEST(DeriveKeepFraction, ImpossibleAgreementDisablesPruning) {
   options.proxy.tokens = 2;
   options.proxy.fixed_ratios = {0.99};  // agreement will not survive this
   options.min_agreement = 1.1;  // validated by the EngineConfig setter...
+  EXPECT_THROW(derive_keep_fraction(model, options), std::invalid_argument);
+  options.min_agreement = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(derive_keep_fraction(model, options), std::invalid_argument);
   options.min_agreement = 1.0;  // ...but 1.0 is legal and nearly unreachable
   options.max_proxy_channels = 128;

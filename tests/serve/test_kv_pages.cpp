@@ -563,10 +563,10 @@ TEST(PagedServing, LegacyModeIsTheDefaultAndStaysByteIdentical) {
                             .kv_prefix_sharing(false);
   const auto explicit_off =
       replay_trace(small_cfg(), {tiny_model()}, std::move(legacy), trace);
-  EXPECT_TRUE(results_identical(baseline.result, explicit_off.result));
+  EXPECT_TRUE(baseline.result == explicit_off.result);
   ASSERT_EQ(baseline.records.size(), explicit_off.records.size());
   for (std::size_t i = 0; i < baseline.records.size(); ++i) {
-    EXPECT_TRUE(record_identical(baseline.records[i], explicit_off.records[i]));
+    EXPECT_TRUE(baseline.records[i] == explicit_off.records[i]);
   }
   EXPECT_GT(baseline.result.kv_deferrals + 1, 0u);  // tracker path exercised
   EXPECT_EQ(baseline.result.kv_pages_allocated, 0u);  // no paging counters
@@ -588,7 +588,7 @@ TEST(PagedServing, GenerousBudgetMatchesLegacyScheduleExactly) {
   EXPECT_EQ(legacy.result.decode_steps, paged.result.decode_steps);
   ASSERT_EQ(legacy.records.size(), paged.records.size());
   for (std::size_t i = 0; i < legacy.records.size(); ++i) {
-    EXPECT_TRUE(record_identical(legacy.records[i], paged.records[i]));
+    EXPECT_TRUE(legacy.records[i] == paged.records[i]);
   }
 }
 

@@ -60,10 +60,10 @@ TEST(Offload, NoOffloadWithFatBackendIsByteIdenticalToNoBackend) {
       small_cfg(), {tiny_model()},
       base_config().fat_backend(baselines::GpuSpec{}), trace);
 
-  EXPECT_TRUE(results_identical(plain.result, with_gpu.result));
+  EXPECT_TRUE(plain.result == with_gpu.result);
   ASSERT_EQ(plain.records.size(), with_gpu.records.size());
   for (std::size_t i = 0; i < plain.records.size(); ++i) {
-    EXPECT_TRUE(record_identical(plain.records[i], with_gpu.records[i]));
+    EXPECT_TRUE(plain.records[i] == with_gpu.records[i]);
   }
   EXPECT_EQ(with_gpu.result.offloaded_chunks, 0u);
   EXPECT_EQ(with_gpu.result.fat_bytes_moved, 0u);
@@ -140,10 +140,10 @@ TEST(Offload, ThresholdOffloadUnderPressureIsDeterministic) {
   const auto a = replay_trace(small_cfg(), {tiny_model()}, config(), trace);
   const auto b = replay_trace(small_cfg(), {tiny_model()}, config(), trace);
 
-  EXPECT_TRUE(results_identical(a.result, b.result));
+  EXPECT_TRUE(a.result == b.result);
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_TRUE(record_identical(a.records[i], b.records[i]));
+    EXPECT_TRUE(a.records[i] == b.records[i]);
   }
   // The pressure threshold actually split: some chunks went fat, but
   // not all of them (the whole point of chunk-granular placement).

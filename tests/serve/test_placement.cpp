@@ -283,30 +283,6 @@ TEST(PlacementPolicies, DecayedDemandKeepsABurstyModelRanked) {
   EXPECT_EQ(decayed.target_set(ctx), (std::vector<std::size_t>{1}));
 }
 
-TEST(FillBarrierTracker, PerGroupLandingIsMonotoneClampedAndCompletesFill) {
-  WeightResidencyTracker tracker(1000);
-  ASSERT_EQ(tracker.attach_layers(5, 250, 4).layers, 4u);
-  EXPECT_EQ(tracker.landed_layers(5), 0u);
-  tracker.mark_landed(5, 2);
-  EXPECT_EQ(tracker.landed_layers(5), 2u);
-  EXPECT_FALSE(tracker.filled(5));
-  tracker.mark_landed(5, 1);  // monotone: landings never roll back
-  EXPECT_EQ(tracker.landed_layers(5), 2u);
-  tracker.mark_landed(5, 99);  // clamped to the pin's layer count
-  EXPECT_EQ(tracker.landed_layers(5), 4u);
-  EXPECT_TRUE(tracker.filled(5));  // every group landed == filled
-
-  // mark_filled is the pin-granular shortcut: all groups land at once.
-  ASSERT_EQ(tracker.attach_layers(6, 250, 4).layers, 0u);  // budget full
-  tracker.detach(5);
-  ASSERT_EQ(tracker.attach_layers(6, 250, 4).layers, 4u);
-  tracker.mark_filled(6);
-  EXPECT_EQ(tracker.landed_layers(6), 4u);
-
-  EXPECT_EQ(tracker.landed_layers(99), 0u);  // no pin: nothing landed
-  EXPECT_THROW(tracker.mark_landed(99, 1), std::logic_error);
-}
-
 // --- Engine: fill-barrier edges ---------------------------------------------
 
 TEST(FillBarrierEngine, RiderBeforeFillRefetchesExactlyTheUnlandedBytes) {
@@ -339,10 +315,10 @@ TEST(FillBarrierEngine, RiderBeforeFillRefetchesExactlyTheUnlandedBytes) {
 }
 
 TEST(FillBarrierEngine, RiderSweepAcrossTheFillBoundaryConservesBytes) {
-  // Sweep the rider's arrival across the owner's whole prefill window:
-  // wherever the fill-chunk retirement falls, the barrier may only move
-  // bytes from saved to fetched (before/at/after the boundary alike),
-  // and the replay always drains.
+  // Sweep two riders' arrivals (at 1x and 2x the offset) across the
+  // owner's whole prefill window: wherever the fill-chunk retirement
+  // falls, the barrier may only move bytes from saved to fetched
+  // (before/at/after the boundary alike), and the replay always drains.
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
   const Bytes budget = 2 * full_weight_set(m, cfg);
@@ -356,7 +332,8 @@ TEST(FillBarrierEngine, RiderSweepAcrossTheFillBoundaryConservesBytes) {
   for (int i = 0; i <= 4; ++i) {
     const Cycle arrival = prefill_span * static_cast<Cycle>(i) / 4;
     const std::vector<Request> trace = {req(0, 0, 4, 192),
-                                        req(1, arrival, 4, 192)};
+                                        req(1, arrival, 4, 192),
+                                        req(2, 2 * arrival, 4, 192)};
     auto config = [&](bool barrier) {
       return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
           .weight_residency_bytes(budget)
@@ -364,7 +341,7 @@ TEST(FillBarrierEngine, RiderSweepAcrossTheFillBoundaryConservesBytes) {
     };
     const auto off = replay_trace(cfg, {m}, config(false), trace);
     const auto on = replay_trace(cfg, {m}, config(true), trace);
-    EXPECT_EQ(on.result.completed, 2u);
+    EXPECT_EQ(on.result.completed, 3u);
     EXPECT_EQ(on.result.cc_weight_fetch_bytes,
               off.result.cc_weight_fetch_bytes + on.result.rider_refetch_bytes)
         << "arrival offset " << i << "/4 through the owner's prefill";
@@ -406,22 +383,26 @@ TEST(FillBarrierEngine, RiderAfterFillLandedRidesBarrierFree) {
 }
 
 TEST(FillBarrierEngine, OwnersAndPerRequestPinsAreExempt) {
-  // A pin owner's chunks are ordered behind its own fill chunk, and
-  // per-request keys never have riders: in both compositions barrier on
-  // and off must replay bit-for-bit.
+  // A pin owner's chunks are ordered behind its own fill chunk, and a
+  // pin no other request shares has no riders: in both compositions
+  // barrier on and off must replay bit-for-bit.
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
   const Bytes budget = 2 * full_weight_set(m, cfg);
-  const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 0, 4, 144)};
-  // Per-request pins: keys are unique, every attach is an owner.
+  // One pin per request: each concurrent request serves its own model,
+  // so every attach is an owner.
+  const std::vector<Request> trace = {req(0, 0, 4, 192, 0),
+                                      req(1, 0, 4, 144, 1)};
   auto per_request = [&](bool barrier) {
     return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
         .weight_residency_bytes(budget)
-        .share_weight_pins(false)
         .rider_fill_barrier(barrier);
   };
-  const auto pr_off = replay_trace(cfg, {m}, per_request(false), trace);
-  const auto pr_on = replay_trace(cfg, {m}, per_request(true), trace);
+  const std::vector<model::MllmConfig> models = {m, tiny_model("tiny-mllm-b")};
+  const auto pr_off = replay_trace(cfg, models, per_request(false), trace);
+  const auto pr_on = replay_trace(cfg, models, per_request(true), trace);
+  EXPECT_EQ(pr_on.result.weight_pins, 2u);
+  EXPECT_EQ(pr_on.result.weight_shared_attaches, 0u);
   EXPECT_EQ(pr_on.result.rider_refetch_bytes, 0u);
   EXPECT_EQ(pr_on.result.cc_weight_fetch_bytes,
             pr_off.result.cc_weight_fetch_bytes);
@@ -605,60 +586,6 @@ TEST(PlacementEngine, EvictIdleReclaimsAWarmPinUnderPressure) {
   EXPECT_EQ(evict.result.completed, 2u);
 }
 
-TEST(FillBarrierEngine, PerGroupLandingIsBoundedByPinGranularAndConserves) {
-  // Per-group landing caps a rider's re-fetch at the groups whose fill
-  // has not landed yet, so it can never re-fetch MORE than pin-granular
-  // all-or-nothing. On the serial-FIFO CC lane the two coincide: the
-  // owner's fill is enqueued when the pin is created — before any rider
-  // can attach — so it retires (marking the pin filled) before any
-  // rider re-fetch can retire and land groups early. Per-group landing
-  // is therefore a tightening that only bites under schedulers that can
-  // retire a rider's re-fetch inside the fill window; here we pin down
-  // the bound, the conservation ledger, and outcome invariance across
-  // same-arrival and staggered shapes.
-  const core::ChipConfig cfg = small_cfg();
-  const model::MllmConfig m = tiny_model();
-  const Bytes budget = 2 * full_weight_set(m, cfg);
-  auto config = [&](bool barrier, bool per_group) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .rider_fill_barrier(barrier)
-        .per_group_fill_landing(per_group);
-  };
-  for (const Cycle stagger : {Cycle{0}, Cycle{20000}, Cycle{200000}}) {
-    const std::vector<Request> trace = {req(0, 0, 4, 192),
-                                        req(1, stagger, 4, 192),
-                                        req(2, 2 * stagger, 4, 192)};
-    const auto off = replay_trace(cfg, {m}, config(false, false), trace);
-    const auto pin_granular =
-        replay_trace(cfg, {m}, config(true, false), trace);
-    const auto per_group = replay_trace(cfg, {m}, config(true, true), trace);
-
-    EXPECT_LE(per_group.result.rider_refetch_bytes,
-              pin_granular.result.rider_refetch_bytes)
-        << "stagger " << stagger;
-    // Conservation holds in both accounting modes: the barrier only
-    // moves bytes from "saved" to "fetched" against the barrier-off
-    // optimum.
-    for (const auto* r : {&pin_granular.result, &per_group.result}) {
-      EXPECT_EQ(r->cc_weight_fetch_bytes,
-                off.result.cc_weight_fetch_bytes + r->rider_refetch_bytes)
-          << "stagger " << stagger;
-      EXPECT_EQ(off.result.cc_weight_bytes_saved,
-                r->cc_weight_bytes_saved + r->rider_refetch_bytes)
-          << "stagger " << stagger;
-    }
-    // Landing granularity changes WHEN bytes may move, never the pin
-    // topology or the outcome.
-    EXPECT_EQ(per_group.result.weight_pins, pin_granular.result.weight_pins);
-    EXPECT_EQ(per_group.result.completed, pin_granular.result.completed);
-    if (stagger == 0) {
-      // Same-arrival riders genuinely hit the barrier.
-      EXPECT_GT(per_group.result.rider_refetch_bytes, 0u);
-    }
-  }
-}
-
 TEST(PlacementEngine, FractionalPlacementPinsThePartialSetInsteadOfDenying) {
   // Budget = ONE layer group of a 2-layer model: the whole-set policy
   // denies the pin outright; fractional placement pins the one group
@@ -701,8 +628,7 @@ TEST(PlacementEngine, DecayedDemandOptionsReplayTheTraceToCompletion) {
           .placement_policy(std::make_shared<DemandWeightedPlacement>(
               DemandWeightedOptions{.fractional_sets = true,
                                     .decayed_demand = true}))
-          .rider_fill_barrier(true)
-          .demand_decay_tau_s(0.5);
+          .rider_fill_barrier(true);
   const auto out = replay_trace(
       cfg, {a, b}, config,
       {req(0, 0, 4, 192, 0), req(1, 0, 4, 192, 1), req(2, 400000, 4, 192, 0),

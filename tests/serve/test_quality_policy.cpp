@@ -378,11 +378,10 @@ TEST(QualityPolicy, DefaultEngineIsByteIdenticalToExplicitStatic) {
           .quality_policy(std::make_shared<StaticQuality>())
           .quality_band(0.25, 1.0),
       trace);
-  EXPECT_TRUE(results_identical(implicit.result, explicit_static.result));
+  EXPECT_TRUE(implicit.result == explicit_static.result);
   ASSERT_EQ(implicit.records.size(), explicit_static.records.size());
   for (std::size_t i = 0; i < implicit.records.size(); ++i) {
-    EXPECT_TRUE(
-        record_identical(implicit.records[i], explicit_static.records[i]));
+    EXPECT_TRUE(implicit.records[i] == explicit_static.records[i]);
   }
   EXPECT_EQ(implicit.result.quality_downgrades, 0u);
   EXPECT_EQ(implicit.result.quality_restores, 0u);
@@ -575,8 +574,7 @@ TEST(QualityPolicy, SharedPinRiderNeverInheritsTheOwnersFraction) {
   auto shared_config = [] {
     return base_config()
         .prefill_planner(std::make_shared<ResidentChunkedPrefill>(128))
-        .weight_residency_bytes(Bytes{1} << 30)
-        .share_weight_pins(true);
+        .weight_residency_bytes(Bytes{1} << 30);
   };
   const auto plain =
       replay_trace(small_cfg(), {tiny_model()}, shared_config(), trace);
@@ -755,10 +753,10 @@ TEST(QualityPolicy, DynamicReplayIsDeterministic) {
   };
   const auto a = replay_trace(small_cfg(), {tiny_model()}, config(), trace);
   const auto b = replay_trace(small_cfg(), {tiny_model()}, config(), trace);
-  EXPECT_TRUE(results_identical(a.result, b.result));
+  EXPECT_TRUE(a.result == b.result);
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_TRUE(record_identical(a.records[i], b.records[i]));
+    EXPECT_TRUE(a.records[i] == b.records[i]);
   }
 }
 

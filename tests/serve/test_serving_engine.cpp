@@ -389,29 +389,5 @@ TEST(ServingEngine, PerModelEstimatorsIsolateLightModelFromHeavyCoTenant) {
   EXPECT_GT(mixed_estimates.at(h0.id), mixed_estimates.at(light.id));
 }
 
-// The deprecated ServingOptions shim must keep compiling and behave
-// exactly like EngineConfig::from_legacy.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ServingEngine, DeprecatedServingOptionsShimMatchesFromLegacy) {
-  ServingOptions options;
-  options.admission = AdmissionLimits{4, 8};
-  options.manage_bandwidth = false;
-  const std::vector<Request> trace = {req(0, 0, 6), req(1, 500, 4)};
-
-  ServingEngine legacy(small_cfg(), {tiny_model()}, options);
-  const auto via_shim = legacy.run(trace);
-  ServingEngine modern(small_cfg(), {tiny_model()},
-                       EngineConfig::from_legacy(options));
-  const auto via_config = modern.run(trace);
-
-  EXPECT_EQ(via_shim.makespan, via_config.makespan);
-  EXPECT_EQ(via_shim.decode_steps, via_config.decode_steps);
-  for (std::size_t i = 0; i < legacy.records().size(); ++i) {
-    EXPECT_EQ(legacy.records()[i].finish, modern.records()[i].finish);
-  }
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace edgemm::serve

@@ -4,9 +4,8 @@
 // pinning. Covers the tracker's attach/detach ledger semantics, the
 // engine-level sharing seam (budget charged once, riders skip weight
 // DMA on every chunk, release on the LAST detach only), the
-// different-model fallback edge, the capacity-0 and
-// single-request-per-model determinism anchors, and the drained-engine
-// pin-leak regression.
+// different-model fallback edge, the capacity-0 determinism anchor, and
+// the drained-engine pin-leak regression.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -143,7 +142,7 @@ TEST(SharedPinEngine, SameModelRequestsChargeBudgetOnce) {
   const auto shared = replay_trace(
       cfg, {m},
       fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)  // share_weight_pins defaults on
+          .weight_residency_bytes(budget)
           .rider_fill_barrier(false),
       trace);
 
@@ -166,36 +165,6 @@ TEST(SharedPinEngine, SameModelRequestsChargeBudgetOnce) {
   EXPECT_EQ(chunked.result.cc_weight_fetch_bytes -
                 shared.result.cc_weight_fetch_bytes,
             shared.result.cc_weight_bytes_saved);
-}
-
-TEST(SharedPinEngine, SharingBeatsPerRequestPinsOnSameTrace) {
-  const core::ChipConfig cfg = small_cfg();
-  const model::MllmConfig m = tiny_model();
-  // Budget for ONE set, three overlapping same-model requests: per
-  // request, two of them keep falling back; shared, they all ride.
-  const Bytes budget = full_weight_set(m, cfg);
-  const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 0, 4, 192),
-                                      req(2, 50, 4, 144)};
-  const auto per_request = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .share_weight_pins(false),
-      trace);
-  const auto shared = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .share_weight_pins(true),
-      trace);
-
-  EXPECT_EQ(shared.result.completed, 3u);
-  EXPECT_LT(shared.result.cc_weight_fetch_bytes,
-            per_request.result.cc_weight_fetch_bytes);
-  EXPECT_LT(shared.result.weight_pin_fallbacks,
-            per_request.result.weight_pin_fallbacks);
-  EXPECT_GT(shared.result.weight_shared_attaches, 0u);
-  EXPECT_EQ(per_request.result.weight_shared_attaches, 0u);
 }
 
 TEST(SharedPinEngine, DifferentModelFallsBackWhenSharedBudgetIsFull) {
@@ -228,17 +197,15 @@ TEST(SharedPinEngine, DifferentModelFallsBackWhenSharedBudgetIsFull) {
 // --- Determinism anchors ----------------------------------------------------
 
 TEST(SharedPinEngine, CapacityZeroStillDegradesToChunkedByteForByte) {
-  // Sharing enabled but no budget: the planner must replay EXACTLY as
-  // ChunkedPrefill (the PR 3 anchor, restated with the knob explicit).
+  // A residency-capable planner with no budget must replay EXACTLY as
+  // ChunkedPrefill.
   const std::vector<Request> trace = {req(0, 0, 6, 144), req(1, 500, 5, 96)};
   const auto chunked = replay_trace(
       small_cfg(), {tiny_model()},
       fast_config(std::make_shared<ChunkedPrefill>(48)), trace);
   const auto shared = replay_trace(
       small_cfg(), {tiny_model()},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .share_weight_pins(true),
-      trace);
+      fast_config(std::make_shared<ResidentChunkedPrefill>(48)), trace);
   ASSERT_EQ(shared.records.size(), chunked.records.size());
   for (std::size_t i = 0; i < chunked.records.size(); ++i) {
     EXPECT_EQ(shared.records[i].finish, chunked.records[i].finish);
@@ -247,47 +214,6 @@ TEST(SharedPinEngine, CapacityZeroStillDegradesToChunkedByteForByte) {
   }
   EXPECT_EQ(shared.result.cc_weight_fetch_bytes,
             chunked.result.cc_weight_fetch_bytes);
-  EXPECT_EQ(shared.result.weight_shared_attaches, 0u);
-}
-
-TEST(SharedPinEngine, SingleRequestPerModelReplaysIdenticalInBothModes) {
-  // With at most one in-flight request per model there is never a pin to
-  // share, so shared and per-request modes must replay bit-for-bit
-  // identically (the PR 3 compatibility contract of the default config).
-  const core::ChipConfig cfg = small_cfg();
-  const Bytes budget = 2 * full_weight_set(tiny_model(), cfg);
-  auto config = [&](bool share) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .share_weight_pins(share);
-  };
-  // Probe replay: when does request 0 fully retire?
-  const auto probe =
-      replay_trace(cfg, {tiny_model()}, config(true), {req(0, 0, 4, 192)});
-  const Cycle after = probe.records[0].finish + 1000;
-  const std::vector<Request> trace = {req(0, 0, 4, 192),
-                                      req(1, after, 4, 192)};
-  const auto shared = replay_trace(cfg, {tiny_model()}, config(true), trace);
-  const auto per_request =
-      replay_trace(cfg, {tiny_model()}, config(false), trace);
-
-  ASSERT_EQ(shared.records.size(), per_request.records.size());
-  for (std::size_t i = 0; i < shared.records.size(); ++i) {
-    const RequestRecord& s = shared.records[i];
-    const RequestRecord& p = per_request.records[i];
-    EXPECT_EQ(s.admitted, p.admitted);
-    EXPECT_EQ(s.prefill_start, p.prefill_start);
-    EXPECT_EQ(s.prefill_end, p.prefill_end);
-    EXPECT_EQ(s.first_token, p.first_token);
-    EXPECT_EQ(s.finish, p.finish);
-    EXPECT_EQ(s.weight_pinned_layers, p.weight_pinned_layers);
-  }
-  EXPECT_EQ(shared.result.makespan, per_request.result.makespan);
-  EXPECT_EQ(shared.result.cc_weight_fetch_bytes,
-            per_request.result.cc_weight_fetch_bytes);
-  EXPECT_EQ(shared.result.cc_weight_bytes_saved,
-            per_request.result.cc_weight_bytes_saved);
-  EXPECT_EQ(shared.result.weight_pins, per_request.result.weight_pins);
   EXPECT_EQ(shared.result.weight_shared_attaches, 0u);
 }
 

@@ -85,10 +85,10 @@ TEST(SwapRefillDma, KnobIsInertWithoutPagedKv) {
       replay_trace(small_cfg(), {tiny_model()}, fast_config(), trace);
   const auto on = replay_trace(small_cfg(), {tiny_model()},
                                fast_config().kv_swap_refill_dma(true), trace);
-  EXPECT_TRUE(results_identical(off.result, on.result));
+  EXPECT_TRUE(off.result == on.result);
   ASSERT_EQ(off.records.size(), on.records.size());
   for (std::size_t i = 0; i < off.records.size(); ++i) {
-    EXPECT_TRUE(record_identical(off.records[i], on.records[i]));
+    EXPECT_TRUE(off.records[i] == on.records[i]);
   }
   EXPECT_EQ(on.result.kv_swap_dma_bytes, 0u);
 }

@@ -133,12 +133,12 @@ TEST(Sweep, ResultsIdenticalIsFieldExact) {
   const auto outcomes = run_sweep(policy_grid(), {.workers = 1});
   ServingResult a = outcomes[0].result;
   ServingResult b = a;
-  EXPECT_TRUE(results_identical(a, b));
+  EXPECT_TRUE(a == b);
   b.makespan += 1;
-  EXPECT_FALSE(results_identical(a, b));
+  EXPECT_FALSE(a == b);
   b = a;
   b.p99_latency_ms += 1e-9;
-  EXPECT_FALSE(results_identical(a, b));
+  EXPECT_FALSE(a == b);
 }
 
 TEST(Sweep, FastTierMakespanWithinOnePercentOfDetailed) {

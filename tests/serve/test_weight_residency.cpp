@@ -56,7 +56,7 @@ Bytes full_weight_set(const model::MllmConfig& m, const core::ChipConfig& cfg) {
 
 TEST(WeightResidencyTracker, ExactCapacityPinSucceeds) {
   WeightResidencyTracker tracker(1024);
-  EXPECT_TRUE(tracker.try_pin(1, 1024));
+  EXPECT_EQ(tracker.attach_layers(1, 1024, 1).layers, 1u);
   EXPECT_EQ(tracker.pinned(), 1024u);
   EXPECT_EQ(tracker.available(), 0u);
   EXPECT_EQ(tracker.pins(), 1u);
@@ -66,55 +66,58 @@ TEST(WeightResidencyTracker, ExactCapacityPinSucceeds) {
 
 TEST(WeightResidencyTracker, OneByteOverFallsBackToRefetch) {
   WeightResidencyTracker tracker(1024);
-  ASSERT_TRUE(tracker.try_pin(1, 1024));
-  EXPECT_FALSE(tracker.try_pin(2, 1));
+  ASSERT_EQ(tracker.attach_layers(1, 1024, 1).layers, 1u);
+  EXPECT_EQ(tracker.attach_layers(2, 1, 1).layers, 0u);
   EXPECT_EQ(tracker.fallbacks(), 1u);
   EXPECT_EQ(tracker.holders(), 1u);  // the loser holds nothing
 }
 
 TEST(WeightResidencyTracker, ReleaseOnCompletionFreesBytes) {
   WeightResidencyTracker tracker(1024);
-  ASSERT_TRUE(tracker.try_pin(1, 1000));
-  ASSERT_FALSE(tracker.try_pin(2, 512));
-  tracker.release(1);  // eviction when the owning request retires
+  ASSERT_EQ(tracker.attach_layers(1, 1000, 1).layers, 1u);
+  ASSERT_EQ(tracker.attach_layers(2, 512, 1).layers, 0u);
+  tracker.detach(1);  // eviction when the last attached request retires
   EXPECT_EQ(tracker.pinned(), 0u);
-  EXPECT_TRUE(tracker.try_pin(2, 512));
+  EXPECT_EQ(tracker.attach_layers(2, 512, 1).layers, 1u);
   EXPECT_EQ(tracker.peak_pinned(), 1000u);  // high-water mark survives
 }
 
 TEST(WeightResidencyTracker, DuplicateAndUnknownAreLogicErrors) {
   WeightResidencyTracker tracker(1024);
-  ASSERT_TRUE(tracker.try_pin(1, 10));
-  EXPECT_THROW(tracker.try_pin(1, 10), std::logic_error);
-  EXPECT_THROW(tracker.release(7), std::logic_error);
+  ASSERT_EQ(tracker.attach_layers(1, 10, 1).layers, 1u);
+  tracker.detach(1);
+  EXPECT_THROW(tracker.detach(1), std::logic_error);  // duplicate detach
+  EXPECT_THROW(tracker.detach(7), std::logic_error);  // never attached
+  EXPECT_THROW(tracker.mark_filled(7), std::logic_error);
+  EXPECT_THROW(tracker.evict_idle(7), std::logic_error);
   EXPECT_THROW(WeightResidencyTracker(0), std::invalid_argument);
 }
 
 TEST(WeightResidencyTracker, PinsWholeLayerGroupsPartially) {
   WeightResidencyTracker tracker(1000);
   // 3 groups of 300 fit a 1000-byte budget; the 4th would not.
-  EXPECT_EQ(tracker.try_pin_layers(1, 300, 8), 3u);
+  EXPECT_EQ(tracker.attach_layers(1, 300, 8).layers, 3u);
   EXPECT_EQ(tracker.pinned(), 900u);
   // No whole group left: fallback, counted.
-  EXPECT_EQ(tracker.try_pin_layers(2, 300, 8), 0u);
+  EXPECT_EQ(tracker.attach_layers(2, 300, 8).layers, 0u);
   EXPECT_EQ(tracker.fallbacks(), 1u);
-  EXPECT_THROW(tracker.try_pin_layers(3, 0, 8), std::invalid_argument);
-  EXPECT_THROW(tracker.try_pin_layers(3, 300, 0), std::invalid_argument);
+  EXPECT_THROW(tracker.attach_layers(3, 0, 8), std::invalid_argument);
+  EXPECT_THROW(tracker.attach_layers(3, 300, 0), std::invalid_argument);
 }
 
 TEST(WeightResidencyTracker, PartialPinPathUpdatesPeakAndPinCounters) {
   // peak_pinned_ must track the PARTIAL-pin path too, not just pins that
   // take whole budget-sized bites.
   WeightResidencyTracker tracker(1000);
-  EXPECT_EQ(tracker.try_pin_layers(1, 300, 2), 2u);  // capped by max_layers
+  EXPECT_EQ(tracker.attach_layers(1, 300, 2).layers, 2u);  // max_layers cap
   EXPECT_EQ(tracker.pinned(), 600u);
   EXPECT_EQ(tracker.peak_pinned(), 600u);
   EXPECT_EQ(tracker.pins(), 1u);
-  EXPECT_EQ(tracker.try_pin_layers(2, 300, 8), 1u);  // capped by the budget
+  EXPECT_EQ(tracker.attach_layers(2, 300, 8).layers, 1u);  // budget cap
   EXPECT_EQ(tracker.pinned(), 900u);
   EXPECT_EQ(tracker.peak_pinned(), 900u);
   EXPECT_EQ(tracker.pins(), 2u);
-  tracker.release(1);
+  tracker.detach(1);
   EXPECT_EQ(tracker.pinned(), 300u);
   EXPECT_EQ(tracker.peak_pinned(), 900u);  // high-water mark survives
 }
@@ -123,12 +126,12 @@ TEST(WeightResidencyTracker, ZeroLayerPartialResultCountsExactlyOneFallback) {
   // A budget that cannot fit one layer group is ONE fallback — not one
   // per candidate layer, and not a pin with zero layers.
   WeightResidencyTracker tracker(100);
-  EXPECT_EQ(tracker.try_pin_layers(1, 300, 8), 0u);
+  EXPECT_EQ(tracker.attach_layers(1, 300, 8).layers, 0u);
   EXPECT_EQ(tracker.fallbacks(), 1u);
   EXPECT_EQ(tracker.pins(), 0u);
   EXPECT_EQ(tracker.holders(), 0u);
   EXPECT_EQ(tracker.peak_pinned(), 0u);
-  EXPECT_EQ(tracker.try_pin_layers(2, 101, 1), 0u);
+  EXPECT_EQ(tracker.attach_layers(2, 101, 1).layers, 0u);
   EXPECT_EQ(tracker.fallbacks(), 2u);  // exactly one more
 }
 
@@ -177,55 +180,60 @@ TEST(ResidentChunkedPrefillEngine, CapacityZeroReproducesChunkedByteForByte) {
 }
 
 TEST(ResidentChunkedPrefillEngine, FundedBudgetStrictlyCutsWeightTraffic) {
-  // Per-request pins (share_weight_pins(false)): the PR 3 baseline this
-  // suite anchors — each request charges and rides its own pin. The
-  // shared-pin accounting lives in test_shared_pins.cpp.
+  // Two overlapping same-model requests refcount one pin with the fill
+  // barrier on (the defaults): request 0 owns and fills it, request 1
+  // rides it and re-fetches only while the owner's fill is in flight.
   const core::ChipConfig cfg = small_cfg();
   const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 100, 4, 192)};
-  const Bytes budget = 2 * full_weight_set(tiny_model(), cfg);
+  const Bytes set = full_weight_set(tiny_model(), cfg);
   const auto chunked = replay_trace(
       cfg, {tiny_model()}, fast_config(std::make_shared<ChunkedPrefill>(48)),
       trace);
   const auto resident = replay_trace(
       cfg, {tiny_model()},
       fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .share_weight_pins(false),
+          .weight_residency_bytes(2 * set),
       trace);
 
   EXPECT_LT(resident.result.cc_weight_fetch_bytes,
             chunked.result.cc_weight_fetch_bytes);
   EXPECT_GT(resident.result.cc_weight_bytes_saved, 0u);
   EXPECT_LE(resident.result.makespan, chunked.result.makespan);
-  // Both requests fit the budget: both pinned every layer group, and
-  // the saved bytes are exactly the re-fetches chunking would have paid
-  // (chunks beyond the first, all layers pinned).
-  EXPECT_EQ(resident.result.weight_pins, 2u);
+  // One budget charge, one free ride, every layer group pinned.
+  EXPECT_EQ(resident.result.weight_pins, 1u);
+  EXPECT_EQ(resident.result.weight_shared_attaches, 1u);
+  EXPECT_EQ(resident.result.peak_pinned_bytes, set);
   for (const RequestRecord& rec : resident.records) {
     EXPECT_EQ(rec.weight_pinned_layers, tiny_model().llm.layers);
     ASSERT_EQ(rec.prefill_chunks, 4u);  // 192 = 4 x 48
   }
-  EXPECT_EQ(resident.result.cc_weight_bytes_saved,
-            2u * 3u * full_weight_set(tiny_model(), cfg));
-  // What chunking re-fetched is exactly what residency saved.
-  EXPECT_EQ(chunked.result.cc_weight_fetch_bytes -
-                resident.result.cc_weight_fetch_bytes,
-            resident.result.cc_weight_bytes_saved);
+  // The rider's chunk 0 dispatched before the owner's fill landed, so it
+  // re-fetched the whole pin: riders save at most 4 sets, the owner 3.
+  EXPECT_GT(resident.result.rider_refetch_bytes, 0u);
+  EXPECT_LT(resident.result.cc_weight_bytes_saved, 7u * set);
+  // What chunking re-fetched is exactly what residency saved, barrier
+  // re-fetches included on the fetched side.
+  EXPECT_EQ(chunked.result.cc_weight_fetch_bytes,
+            resident.result.cc_weight_fetch_bytes +
+                resident.result.cc_weight_bytes_saved);
 }
 
 TEST(ResidentChunkedPrefillEngine, ContentionFallsBackAndNeverStalls) {
   const core::ChipConfig cfg = small_cfg();
-  // Budget for ONE request's layer groups under PER-REQUEST pins; two
-  // requests prefill concurrently — the loser re-fetches every chunk but
-  // still completes. (With shared pins this exact contention vanishes:
-  // the second request rides the first's pin; see test_shared_pins.cpp.)
-  const Bytes budget = full_weight_set(tiny_model(), cfg);
-  const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 0, 4, 192)};
+  // Budget for ONE model's layer groups; two different models prefill
+  // concurrently — the loser has no pin to ride and no room to pin, so
+  // it re-fetches every chunk but still completes.
+  const model::MllmConfig a = tiny_model();
+  model::MllmConfig b = tiny_model();
+  b.name = "tiny-mllm-b";
+  const Bytes budget = full_weight_set(a, cfg);
+  Request other = req(1, 0, 4, 192);
+  other.model = 1;
+  const std::vector<Request> trace = {req(0, 0, 4, 192), other};
   const auto outcome = replay_trace(
-      cfg, {tiny_model()},
+      cfg, {a, b},
       fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .share_weight_pins(false),
+          .weight_residency_bytes(budget),
       trace);
 
   EXPECT_EQ(outcome.result.completed, 2u);
@@ -234,8 +242,7 @@ TEST(ResidentChunkedPrefillEngine, ContentionFallsBackAndNeverStalls) {
   EXPECT_EQ(outcome.result.peak_pinned_bytes, budget);
   // Exactly one of the two overlapping requests held the budget first;
   // the other may still pin late (after the winner's prefill retires).
-  EXPECT_EQ(outcome.records[0].weight_pinned_layers,
-            tiny_model().llm.layers);
+  EXPECT_EQ(outcome.records[0].weight_pinned_layers, a.llm.layers);
 }
 
 TEST(ResidentChunkedPrefillEngine, SingleChunkPlanNeverPins) {
