@@ -23,9 +23,8 @@
 //      factors (8x/4x/2x/1x).
 //   6. multi-model zoo — residency-aware placement policies
 //      (keep-current vs demand-weighted vs evict-idle-on-pressure) over
-//      one shared budget, with the rider fill barrier on so the savings
-//      are fill-timing-honest (and a barrier-off row pricing the PR 4
-//      optimism).
+//      one shared budget, with the rider fill barrier keeping the
+//      savings fill-timing-honest (gated: riders really re-fetch).
 //   7. fast/detailed execution tiers — every §1–§6 case re-replayed on
 //      the fast tier (ReplayMode::kFast): per-case makespan drift gated
 //      under 1%, completion counts equal, single-replay and policy-sweep
@@ -510,11 +509,10 @@ int main(int argc, char** argv) {
   // model's fill again and again, while demand-weighted keeps the
   // hottest models' pins warm across their request gaps and
   // evict-idle-on-pressure keeps everything warm until someone needs
-  // the room. The fill barrier is ON for every placement row — riders
-  // dispatched before a pin's fill lands re-fetch (rider_refetch_bytes)
-  // — so the savings are fill-timing-honest; the barrier-off row prices
-  // exactly the optimism PR 4's numbers carried.
-  std::printf("\n--- multi-model zoo: placement policies x fill barrier ---\n");
+  // the room. The fill barrier holds on every row — riders dispatched
+  // before a pin's fill lands re-fetch (rider_refetch_bytes) — so the
+  // savings are fill-timing-honest.
+  std::printf("\n--- multi-model zoo: placement policies + fill barrier ---\n");
   // The Table I zoo scenario lives in bench_common.hpp so §8 shards the
   // exact same models/trace/budget across the cluster.
   const bench::ZooScenario zoo_scenario =
@@ -536,36 +534,30 @@ int main(int argc, char** argv) {
               static_cast<double>(zoo_sets[1]) / (1024.0 * 1024.0 * 1024.0),
               static_cast<double>(zoo_sets[2]) / (1024.0 * 1024.0 * 1024.0));
 
-  auto zoo_config = [&](std::shared_ptr<const serve::PlacementPolicy> placement,
-                        bool barrier) {
-    return continuous_config(true)
-        .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(128))
-        .weight_residency_bytes(zoo_budget)
-        .placement_policy(std::move(placement))
-        .rider_fill_barrier(barrier);
-  };
+  auto zoo_config =
+      [&](std::shared_ptr<const serve::PlacementPolicy> placement) {
+        return continuous_config(true)
+            .prefill_planner(
+                std::make_shared<serve::ResidentChunkedPrefill>(128))
+            .weight_residency_bytes(zoo_budget)
+            .placement_policy(std::move(placement));
+      };
   const auto zoo_trace = serve::poisson_trace(zoo_cfg);
   const std::vector<serve::SweepCase> s6_cases = {
-      {"s6 keep-current barrier-off", chip8, zoo,
-       zoo_config(std::make_shared<serve::KeepCurrentPlacement>(), false),
-       zoo_trace},
       {"s6 keep-current", chip8, zoo,
-       zoo_config(std::make_shared<serve::KeepCurrentPlacement>(), true),
-       zoo_trace},
+       zoo_config(std::make_shared<serve::KeepCurrentPlacement>()), zoo_trace},
       {"s6 demand-weighted", chip8, zoo,
-       zoo_config(std::make_shared<serve::DemandWeightedPlacement>(), true),
+       zoo_config(std::make_shared<serve::DemandWeightedPlacement>()),
        zoo_trace},
       {"s6 evict-idle", chip8, zoo,
-       zoo_config(std::make_shared<serve::EvictIdleOnPressure>(), true),
-       zoo_trace},
+       zoo_config(std::make_shared<serve::EvictIdleOnPressure>()), zoo_trace},
   };
   const SectionRun s6 = run_section(s6_cases);
   track(s6_cases, s6);
   json_section("zoo", s6_cases, s6);
-  const auto& zoo_optimistic = s6.outcomes[0].result;
-  const auto& zoo_keep = s6.outcomes[1].result;
-  const auto& zoo_demand = s6.outcomes[2].result;
-  const auto& zoo_evict = s6.outcomes[3].result;
+  const auto& zoo_keep = s6.outcomes[0].result;
+  const auto& zoo_demand = s6.outcomes[1].result;
+  const auto& zoo_evict = s6.outcomes[2].result;
 
   auto print_zoo = [](const char* label, const serve::ServingResult& r) {
     std::printf("  %-28s CC weight fetch %7.1f GiB  makespan %8.1f ms\n",
@@ -581,28 +573,25 @@ int main(int argc, char** argv) {
                 static_cast<double>(r.rider_refetch_bytes) /
                     (1024.0 * 1024.0 * 1024.0));
   };
-  print_zoo("keep-current, barrier OFF", zoo_optimistic);
-  print_zoo("keep-current, barrier on", zoo_keep);
-  print_zoo("demand-weighted, barrier on", zoo_demand);
-  print_zoo("evict-idle, barrier on", zoo_evict);
+  print_zoo("keep-current", zoo_keep);
+  print_zoo("demand-weighted", zoo_demand);
+  print_zoo("evict-idle", zoo_evict);
 
   // The placement gates: demand-weighted must strictly cut the honest
-  // (barrier-on) CC weight traffic vs the keep-current baseline by
-  // turning refetched fills into warm rides, and evict-idle must have
-  // actually exercised pressure eviction (idle pins reclaimed, not
-  // drained). The barrier gate demands the optimism is priced: riders
-  // really did dispatch before fills landed on this trace.
+  // CC weight traffic vs the keep-current baseline by turning refetched
+  // fills into warm rides, and evict-idle must have actually exercised
+  // pressure eviction (idle pins reclaimed, not drained). The barrier
+  // gate demands the fill timing is priced: riders really did dispatch
+  // before fills landed on this trace.
   const bool placement_wins =
       zoo_demand.cc_weight_fetch_bytes < zoo_keep.cc_weight_fetch_bytes &&
       zoo_demand.weight_warm_attaches > 0;
   std::printf("\ndemand-weighted placement fetches strictly less than "
-              "keep-current (barrier on): %s\n",
+              "keep-current: %s\n",
               placement_wins ? "yes" : "NO");
-  const bool barrier_honest = zoo_keep.rider_refetch_bytes > 0 &&
-                              zoo_keep.cc_weight_fetch_bytes >
-                                  zoo_optimistic.cc_weight_fetch_bytes;
-  std::printf("fill barrier prices the optimism (rider re-fetches > 0, "
-              "honest fetch above optimistic): %s\n",
+  const bool barrier_honest = zoo_keep.rider_refetch_bytes > 0;
+  std::printf("fill barrier prices rider fill timing (rider re-fetches "
+              "> 0): %s\n",
               barrier_honest ? "yes" : "NO");
   const bool eviction_exercised = zoo_evict.placement_evictions > 0 &&
                                   zoo_evict.weight_warm_attaches > 0;
@@ -750,10 +739,10 @@ int main(int argc, char** argv) {
   std::printf("\n--- cluster: replica scaling + disaggregated "
               "prefill/decode (zoo traffic) ---\n\n");
 
-  const serve::SweepCase& s6_demand_case = s6_cases[2];  // "s6 demand-weighted"
+  const serve::SweepCase& s6_demand_case = s6_cases[1];  // "s6 demand-weighted"
   const serve::ClusterOutcome one_chip = serve::run_cluster(
       chip8, zoo, s6_demand_case.engine, serve::ClusterConfig{}, zoo_trace);
-  const auto& s6_demand = s6.outcomes[2];
+  const auto& s6_demand = s6.outcomes[1];
   const bool cluster_identity_ok =
       one_chip.result.per_chip.size() == 1 &&
       one_chip.result.per_chip[0] == s6_demand.result &&
@@ -898,7 +887,7 @@ int main(int argc, char** argv) {
   json.end_object();
 
   // --- 9. Paged KV: prefix sharing + DRAM swap at equal budget ------------
-  // Four rows over ONE shared-prefix trace and ONE KV byte budget (fast
+  // Three rows over ONE shared-prefix trace and ONE KV byte budget (fast
   // tier). Whole-footprint reserves every request's final footprint up
   // front; paged mode charges pages as tokens are generated, shares full
   // prefix pages copy-on-write across a conversation group, and preempts
@@ -938,13 +927,6 @@ int main(int argc, char** argv) {
   const std::vector<serve::SweepCase> s9_cases = {
       {"s9 whole-footprint", chip8, sphinx_models,
        paged_base().kv_capacity_bytes(equal_budget), paged_trace},
-      {"s9 paged no-share", chip8, sphinx_models,
-       paged_base()
-           .kv_capacity_bytes(equal_budget)
-           .paged_kv(true)
-           .kv_page_bytes(kv_page)
-           .kv_prefix_sharing(false),
-       paged_trace},
       {"s9 paged+prefix", chip8, sphinx_models,
        paged_base()
            .kv_capacity_bytes(equal_budget)
@@ -960,9 +942,8 @@ int main(int argc, char** argv) {
   };
   const SectionRun s9 = run_section(s9_cases);
   const auto& whole_kv = s9.outcomes[0].result;
-  const auto& paged_noshare = s9.outcomes[1].result;
-  const auto& paged_prefix = s9.outcomes[2].result;
-  const auto& paged_tight = s9.outcomes[3].result;
+  const auto& paged_prefix = s9.outcomes[1].result;
+  const auto& paged_tight = s9.outcomes[2].result;
   for (std::size_t i = 0; i < s9_cases.size(); ++i) {
     const serve::ServingResult& r = s9.outcomes[i].result;
     std::printf("  %-24s %3zu done  makespan %8.1f ms  %7.1f tok/s  "
@@ -1000,10 +981,9 @@ int main(int argc, char** argv) {
                             r.kv_pages_allocated == r.kv_pages_freed;
   }
   // Gate (c): the sharing row actually shared (riders attached and pages
-  // were saved), and switching sharing off removes every attach.
+  // were saved).
   const bool prefix_sharing_ok = paged_prefix.kv_shared_attaches > 0 &&
-                                 paged_prefix.kv_shared_pages_saved > 0 &&
-                                 paged_noshare.kv_shared_attaches == 0;
+                                 paged_prefix.kv_shared_pages_saved > 0;
   // Gate (d): the tight row survives on a fraction of the budget by
   // actually paying DRAM re-fetches (swap exercised, nothing rejected).
   const bool paged_swap_ok = paged_tight.kv_swap_refetch_bytes > 0 &&
@@ -1017,8 +997,8 @@ int main(int argc, char** argv) {
   std::printf("page ledger exactly conserved on every paged row "
               "(alloc == freed > 0, all served): %s\n",
               paged_conservation_ok ? "yes" : "NO");
-  std::printf("prefix sharing engaged (%zu attaches, %zu pages saved; 0 "
-              "with sharing off): %s\n",
+  std::printf("prefix sharing engaged (%zu attaches, %zu pages saved): "
+              "%s\n",
               paged_prefix.kv_shared_attaches,
               paged_prefix.kv_shared_pages_saved,
               prefix_sharing_ok ? "yes" : "NO");

@@ -16,6 +16,14 @@ double checked_positive(double v, const char* field) {
   return v;
 }
 
+double checked_non_negative(double v, const char* field) {
+  if (!(v >= 0.0)) {
+    throw std::invalid_argument(std::string("GpuSpec: ") + field +
+                                " must be non-negative");
+  }
+  return v;
+}
+
 double checked_efficiency(double v, const char* field) {
   if (!(v > 0.0) || v > 1.0) {
     throw std::invalid_argument(std::string("GpuSpec: ") + field +
@@ -47,11 +55,7 @@ GpuSpec& GpuSpec::with_gemv_bandwidth_efficiency(double v) {
 }
 
 GpuSpec& GpuSpec::with_kernel_launch_seconds(double v) {
-  if (v < 0.0) {
-    throw std::invalid_argument(
-        "GpuSpec: kernel_launch_seconds must be non-negative");
-  }
-  kernel_launch_seconds = v;
+  kernel_launch_seconds = checked_non_negative(v, "kernel_launch_seconds");
   return *this;
 }
 
@@ -73,10 +77,7 @@ void GpuSpec::validate() const {
   checked_positive(memory_bandwidth, "memory_bandwidth");
   checked_efficiency(gemm_efficiency, "gemm_efficiency");
   checked_efficiency(gemv_bandwidth_efficiency, "gemv_bandwidth_efficiency");
-  if (kernel_launch_seconds < 0.0) {
-    throw std::invalid_argument(
-        "GpuSpec: kernel_launch_seconds must be non-negative");
-  }
+  checked_non_negative(kernel_launch_seconds, "kernel_launch_seconds");
   if (elem_bytes == 0) {
     throw std::invalid_argument("GpuSpec: elem_bytes must be positive");
   }

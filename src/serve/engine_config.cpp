@@ -96,7 +96,6 @@ EngineConfig::EngineConfig()
       planner_(std::make_shared<MonolithicPrefill>()),
       batcher_(std::make_shared<FifoBatch>()),
       placement_(std::make_shared<KeepCurrentPlacement>()),
-      swap_policy_(std::make_shared<LruSwapPolicy>()),
       offload_(std::make_shared<NoOffload>()),
       quality_(std::make_shared<StaticQuality>()) {}
 
@@ -129,17 +128,6 @@ EngineConfig& EngineConfig::batch_policy(
 
 EngineConfig& EngineConfig::manage_bandwidth(bool enabled) {
   manage_bandwidth_ = enabled;
-  return *this;
-}
-
-EngineConfig& EngineConfig::bandwidth_policy(
-    const core::BandwidthPolicy& policy) {
-  bandwidth_ = policy;
-  return *this;
-}
-
-EngineConfig& EngineConfig::rebalance_interval(Cycle interval) {
-  rebalance_interval_ = interval;
   return *this;
 }
 
@@ -183,20 +171,6 @@ EngineConfig& EngineConfig::kv_page_bytes(Bytes bytes) {
   return *this;
 }
 
-EngineConfig& EngineConfig::kv_prefix_sharing(bool enabled) {
-  kv_prefix_sharing_ = enabled;
-  return *this;
-}
-
-EngineConfig& EngineConfig::kv_swap_policy(
-    std::shared_ptr<const SwapPolicy> policy) {
-  if (!policy) {
-    throw std::invalid_argument("EngineConfig: null SwapPolicy");
-  }
-  swap_policy_ = std::move(policy);
-  return *this;
-}
-
 EngineConfig& EngineConfig::weight_residency_bytes(Bytes bytes) {
   weight_residency_bytes_ = bytes;
   return *this;
@@ -211,18 +185,8 @@ EngineConfig& EngineConfig::placement_policy(
   return *this;
 }
 
-EngineConfig& EngineConfig::rider_fill_barrier(bool enabled) {
-  rider_fill_barrier_ = enabled;
-  return *this;
-}
-
 EngineConfig& EngineConfig::replay_mode(core::ReplayMode mode) {
   replay_mode_ = mode;
-  return *this;
-}
-
-EngineConfig& EngineConfig::deadline_ordered_queue(bool enabled) {
-  deadline_ordered_queue_ = enabled;
   return *this;
 }
 
@@ -271,8 +235,7 @@ EngineConfig& EngineConfig::quality_band(double min_keep, double max_keep) {
 }
 
 void EngineConfig::validate() const {
-  if (!scheduler_ || !planner_ || !batcher_ || !placement_ || !swap_policy_ ||
-      !quality_) {
+  if (!scheduler_ || !planner_ || !batcher_ || !placement_ || !quality_) {
     throw std::invalid_argument("EngineConfig: missing policy");
   }
   if (!(0.0 < quality_min_keep_ && quality_min_keep_ <= quality_max_keep_ &&

@@ -14,7 +14,6 @@
 #include <optional>
 
 #include "baselines/gpu_model.hpp"
-#include "core/bandwidth_manager.hpp"
 #include "core/fast_replay.hpp"
 #include "model/mllm_config.hpp"
 #include "pruning/task_proxy.hpp"
@@ -76,9 +75,6 @@ class EngineConfig {
   EngineConfig& prefill_planner(std::shared_ptr<const PrefillPlanner> planner);
   EngineConfig& batch_policy(std::shared_ptr<const BatchPolicy> policy);
   EngineConfig& manage_bandwidth(bool enabled);
-  EngineConfig& bandwidth_policy(const core::BandwidthPolicy& policy);
-  /// 0 = the DMA throttle interval.
-  EngineConfig& rebalance_interval(Cycle interval);
   /// Global decode keep fraction in (0, 1]; overridden per request when
   /// task-proxy pruning is enabled. Throws std::invalid_argument.
   EngineConfig& prune_keep_fraction(double fraction);
@@ -93,26 +89,15 @@ class EngineConfig {
   /// When on (and a KV budget is set), the engine reserves only the
   /// pages a request's PROMPT occupies at decode join and grows the
   /// reservation one page per generated-token page boundary; when the
-  /// budget fills mid-decode it preempts SwapPolicy victims to DRAM and
-  /// refills them (see KvPageAllocator). No effect without
-  /// kv_capacity_bytes.
+  /// budget fills mid-decode it preempts the least-recently-grown
+  /// requests to DRAM and refills them (see KvPageAllocator). Requests
+  /// with the same (model, Request::prefix_id) share their prefix's full
+  /// pages copy-on-write. No effect without kv_capacity_bytes.
   EngineConfig& paged_kv(bool enabled);
   /// KV page size for paged_kv (default kDefaultKvPageBytes = 64 KiB).
   /// Throws std::invalid_argument on zero; validate() requires the KV
   /// budget to hold at least one page.
   EngineConfig& kv_page_bytes(Bytes bytes);
-  /// Copy-on-write prefix sharing under paged_kv (default: true):
-  /// requests with the same (model, Request::prefix_id) share their
-  /// prefix's full pages under one refcounted run; each request CoW-
-  /// forks the partial boundary page privately at join (its first
-  /// divergent token writes there). false charges every request its
-  /// whole prompt privately — the A/B baseline. No effect on traces
-  /// without prefix ids.
-  EngineConfig& kv_prefix_sharing(bool enabled);
-  /// Victim selection for the paged-KV evict-to-DRAM swap tier (default
-  /// LruSwapPolicy: least-recent page-table touch, ties by id). Throws
-  /// std::invalid_argument on null. Only consulted under paged_kv.
-  EngineConfig& kv_swap_policy(std::shared_ptr<const SwapPolicy> policy);
   /// Byte budget for weight-resident chunk chaining (the
   /// WeightResidencyTracker's capacity); 0 (default) disables residency
   /// — a residency-capable planner then degrades to per-chunk re-fetch,
@@ -123,7 +108,9 @@ class EngineConfig {
   /// chip_weight_residency_capacity for sizing). Pins are keyed by
   /// MODEL: the first attaching request fetches and charges the budget,
   /// later same-model requests ride the refcounted pin for free until
-  /// the last attached request's prefill retires.
+  /// the last attached request's prefill retires. A rider chunk
+  /// dispatched before the owner's fill chunk retires re-fetches the
+  /// whole pin (ServingResult::rider_refetch_bytes).
   EngineConfig& weight_residency_bytes(Bytes bytes);
   /// Residency-aware model placement: which models' pins to hold,
   /// acquire or evict against the shared budget (see PlacementPolicy).
@@ -132,15 +119,6 @@ class EngineConfig {
   /// bit-for-bit. Only consulted when weight residency is active.
   /// Throws std::invalid_argument on null.
   EngineConfig& placement_policy(std::shared_ptr<const PlacementPolicy> policy);
-  /// Honest shared-pin fill timing (default: true): a fresh pin's bytes
-  /// only count as on-chip once the owner's fill chunk retires, so a
-  /// rider chunk dispatched before that re-fetches the whole pin's
-  /// layer groups (ledgered as ServingResult::rider_refetch_bytes).
-  /// false restores the PR 4 fill-timing-optimistic model — riders skip
-  /// weight DMA the moment they attach — kept for A/B comparisons and
-  /// the bench baselines. No effect without weight residency (a pin's
-  /// owner is always ordered after its own fill).
-  EngineConfig& rider_fill_barrier(bool enabled);
   /// Execution tier for the replay (default kDetailed): kFast prices op
   /// batches analytically with core::FastMemoryModel instead of walking
   /// every DMA burst through the event-driven memory hierarchy —
@@ -148,11 +126,6 @@ class EngineConfig {
   /// bench gates both). Policies, admission and scheduling decisions run
   /// identically on either tier; only memory timing is approximated.
   EngineConfig& replay_mode(core::ReplayMode mode);
-  /// Earliest-deadline-first pop order among arrived requests (default:
-  /// false = arrival order, the PR 1–5 behavior, byte-identical).
-  /// Requests without a deadline sort last under EDF; with no deadlines
-  /// in the trace EDF degenerates to arrival order.
-  EngineConfig& deadline_ordered_queue(bool enabled);
   /// Serving stage split for disaggregated clusters (default kFull: the
   /// single-chip engine, byte-identical to every prior PR). kPrefillOnly
   /// retires each request at prefill end — zero tokens generated, the
@@ -175,7 +148,7 @@ class EngineConfig {
   /// Inject paged-KV swap-in refill traffic as DMA ops on the MC decode
   /// lane (default: false — refills are bookkeeping-only, byte-identical
   /// to PR 8). When on, each refill's re-fetched bytes ride the next
-  /// decode step as a KV-stream op, so a SwapPolicy's thrashing costs
+  /// decode step as a KV-stream op, so swap thrashing costs
   /// decode bandwidth in the timing plane instead of being free. No
   /// effect without paged_kv.
   EngineConfig& kv_swap_refill_dma(bool enabled);
@@ -197,8 +170,6 @@ class EngineConfig {
   const PrefillPlanner& prefill_planner() const { return *planner_; }
   const BatchPolicy& batch_policy() const { return *batcher_; }
   bool manage_bandwidth() const { return manage_bandwidth_; }
-  const core::BandwidthPolicy& bandwidth_policy() const { return bandwidth_; }
-  Cycle rebalance_interval() const { return rebalance_interval_; }
   double prune_keep_fraction() const { return prune_keep_fraction_; }
   const std::optional<TaskProxyPruningOptions>& task_proxy_pruning() const {
     return task_proxy_;
@@ -206,13 +177,9 @@ class EngineConfig {
   Bytes kv_capacity() const { return kv_capacity_bytes_; }
   bool paged_kv() const { return paged_kv_; }
   Bytes kv_page_bytes() const { return kv_page_bytes_; }
-  bool kv_prefix_sharing() const { return kv_prefix_sharing_; }
-  const SwapPolicy& kv_swap_policy() const { return *swap_policy_; }
   Bytes weight_residency() const { return weight_residency_bytes_; }
   const PlacementPolicy& placement() const { return *placement_; }
-  bool rider_fill_barrier() const { return rider_fill_barrier_; }
   core::ReplayMode replay_mode() const { return replay_mode_; }
-  bool deadline_ordered_queue() const { return deadline_ordered_queue_; }
   EnginePhase phase() const { return phase_; }
   const std::optional<baselines::GpuSpec>& fat_backend() const {
     return fat_backend_;
@@ -242,19 +209,13 @@ class EngineConfig {
   std::shared_ptr<const BatchPolicy> batcher_;
   std::shared_ptr<const PlacementPolicy> placement_;
   bool manage_bandwidth_ = true;
-  core::BandwidthPolicy bandwidth_{};
-  Cycle rebalance_interval_ = 0;
   double prune_keep_fraction_ = 1.0;
   std::optional<TaskProxyPruningOptions> task_proxy_;
   Bytes kv_capacity_bytes_ = 0;
   bool paged_kv_ = false;
   Bytes kv_page_bytes_ = kDefaultKvPageBytes;
-  bool kv_prefix_sharing_ = true;
-  std::shared_ptr<const SwapPolicy> swap_policy_;
   Bytes weight_residency_bytes_ = 0;
-  bool rider_fill_barrier_ = true;
   core::ReplayMode replay_mode_ = core::ReplayMode::kDetailed;
-  bool deadline_ordered_queue_ = false;
   EnginePhase phase_ = EnginePhase::kFull;
   std::optional<baselines::GpuSpec> fat_backend_;
   std::shared_ptr<const OffloadPolicy> offload_;

@@ -36,17 +36,16 @@ std::size_t kv_shared_prefix_pages(const Request& r,
 
 std::size_t kv_page_footprint(const Request& r,
                               const model::MllmConfig& model,
-                              Bytes page_bytes, bool prefix_sharing) {
+                              Bytes page_bytes) {
   const std::size_t tpp = kv_tokens_per_page(model, page_bytes);
-  const std::size_t shared =
-      prefix_sharing ? kv_shared_prefix_pages(r, model, page_bytes) : 0;
+  const std::size_t shared = kv_shared_prefix_pages(r, model, page_bytes);
   const std::size_t private_tokens =
       r.input_tokens + r.output_tokens - shared * tpp;
   return shared + (private_tokens + tpp - 1) / tpp;
 }
 
-std::vector<RequestId> LruSwapPolicy::victim_order(
-    const std::vector<SwapCandidate>& candidates) const {
+std::vector<RequestId> lru_victim_order(
+    const std::vector<SwapCandidate>& candidates) {
   std::vector<std::size_t> order(candidates.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

@@ -19,8 +19,7 @@
 //     divergent token writes into that page. Shared pages are freed
 //     exactly once, when the last holder releases;
 //   - when the CIM budget fills mid-decode, the engine preempts victim
-//     requests chosen by a SwapPolicy (least-recent page-table touch by
-//     default): ALL of a victim's private resident pages move to DRAM
+//     requests in lru_victim_order (least-recent page-table touch): ALL of a victim's private resident pages move to DRAM
 //     (swap-out releases their CIM bytes), and the re-fetch bytes are
 //     charged onto the ledger when the victim is refilled — preempt-and-
 //     refill instead of defer-at-join. A shared run whose last resident
@@ -78,49 +77,28 @@ std::size_t kv_shared_prefix_pages(const Request& r,
 /// shared prefix pages (counted once per group, but each request must
 /// fit them alone) plus its private pages — the paged analogue of
 /// kv_footprint_bytes, and the bound the per-token growth pass never
-/// exceeds. `prefix_sharing` off folds the prefix into the private
-/// pages.
+/// exceeds.
 std::size_t kv_page_footprint(const Request& r,
                               const model::MllmConfig& model,
-                              Bytes page_bytes, bool prefix_sharing);
+                              Bytes page_bytes);
 
-/// One swap-victim candidate the engine offers the SwapPolicy: an
-/// ACTIVE decode request (never the one asking for a page) with private
+/// One swap-victim candidate for the evict-to-DRAM tier: an ACTIVE
+/// decode request (never the one asking for a page) with private
 /// resident pages that could move to DRAM.
 struct SwapCandidate {
   RequestId id = 0;
-  std::size_t resident_pages = 0;  ///< private pages swap-out would free
   /// Last cycle the request's page table was touched (join, page append
-  /// or refill) — the recency signal the LRU default ranks by.
+  /// or refill) — the recency signal victims are ranked by.
   Cycle last_touch = 0;
-  std::size_t context_tokens = 0;    ///< prompt + generated so far
-  std::size_t remaining_tokens = 0;  ///< output tokens still to generate
 };
 
-/// Victim-selection seam for the evict-to-DRAM swap tier
-/// (EngineConfig::kv_swap_policy). The engine preempts candidates
-/// front-to-back from victim_order until the page it needs is free;
-/// deterministic orderings keep replays byte-identical.
-class SwapPolicy {
- public:
-  virtual ~SwapPolicy() = default;
-  virtual const char* name() const = 0;
-  /// Ranks `candidates` most-evictable first. Must return a permutation
-  /// of the candidate ids; ties must be broken deterministically.
-  virtual std::vector<RequestId> victim_order(
-      const std::vector<SwapCandidate>& candidates) const = 0;
-};
-
-/// Default SwapPolicy: least-recent page-table touch first (every active
-/// request streams its whole KV each step, so "recently USED" cannot
-/// discriminate — recency of page-table GROWTH is the cold signal),
-/// ties by ascending request id.
-class LruSwapPolicy : public SwapPolicy {
- public:
-  const char* name() const override { return "lru"; }
-  std::vector<RequestId> victim_order(
-      const std::vector<SwapCandidate>& candidates) const override;
-};
+/// Ranks `candidates` most-evictable first: least-recent page-table
+/// touch first (every active request streams its whole KV each step, so
+/// "recently USED" cannot discriminate — recency of page-table GROWTH is
+/// the cold signal), ties by ascending request id. The engine preempts
+/// front-to-back until the page it needs is free.
+std::vector<RequestId> lru_victim_order(
+    const std::vector<SwapCandidate>& candidates);
 
 /// Fixed-size page allocator over a KV byte budget, backed by a
 /// ByteLedger (one ledger hold per resident physical page). Tracks per-
@@ -183,7 +161,7 @@ class KvPageAllocator {
 
   /// One more private page for `id` (a generated token crossed a page
   /// boundary). False when no page is free — the engine then preempts a
-  /// SwapPolicy victim and retries. Not counted as a deferral.
+  /// lru_victim_order victim and retries. Not counted as a deferral.
   bool try_append(RequestId id);
 
   /// Preempts `id` to DRAM: ALL its private resident pages release

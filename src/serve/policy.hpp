@@ -318,8 +318,7 @@ class PlacementPolicy {
 
 /// The placement-oblivious baseline (default): every model may pin
 /// first-come-first-served, nothing is kept warm, nothing is evicted.
-/// Composed with the fill barrier off this reproduces the PR 4 engine
-/// bit-for-bit (tested).
+/// Reproduces the placement-oblivious engine bit-for-bit (tested).
 class KeepCurrentPlacement final : public PlacementPolicy {
  public:
   const char* name() const override { return "keep-current"; }

@@ -31,9 +31,7 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
       models_(std::move(models)),
       engine_config_(std::move(engine_config)),
       local_(config_, core::ChipComposition::kHeterogeneous,
-             engine_config_.replay_mode(), engine_config_.bandwidth_policy()),
-      queue_(engine_config_.deadline_ordered_queue() ? QueueOrder::kDeadline
-                                                     : QueueOrder::kArrival) {
+             engine_config_.replay_mode(), core::BandwidthPolicy{}) {
   engine_config_.validate();
   if (models_.empty()) {
     throw std::invalid_argument("ServingEngine: no models to serve");
@@ -178,8 +176,7 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
             "ServingEngine::run: prefix_tokens exceeds input_tokens");
       }
       if (kv_page_footprint(r, models_[r.model],
-                            engine_config_.kv_page_bytes(),
-                            engine_config_.kv_prefix_sharing()) >
+                            engine_config_.kv_page_bytes()) >
           pages_->total_pages()) {
         throw std::invalid_argument(
             "ServingEngine::run: request KV pages exceed the paged KV "
@@ -200,13 +197,11 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     sim.schedule_at(records_[i].request.arrival, [this, i] { on_arrival(i); });
   }
   // PMC throttles are always armed (§IV-B); start from the default equal
-  // partition and let the interval rebalancer shift it.
+  // partition and let the rebalancer shift it once per throttle
+  // interval T.
   local_.apply_equal_sharing();
   if (engine_config_.manage_bandwidth()) {
-    const Cycle interval = engine_config_.rebalance_interval() > 0
-                               ? engine_config_.rebalance_interval()
-                               : config_.dma.throttle_interval;
-    schedule_rebalance(interval);
+    schedule_rebalance(config_.dma.throttle_interval);
   }
   sim.run();
   EDGEMM_ASSERT_MSG(completed_ + rejected_ == total_,
@@ -893,17 +888,15 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     }
   }
   // Fill barrier: a rider chunk dispatched before the pin owner's fill
-  // fetch retired would skip DMA for bytes that are not on chip yet.
-  // With the barrier on it re-fetches the WHOLE pin instead (this chunk
-  // only — the rider's later chunks ride normally once the fill lands),
-  // so the re-fetch is exactly the pinned weight bytes the planned job
-  // skipped. Under the serial-FIFO CC lane the owner's fill is enqueued
+  // fetch retired would skip DMA for bytes that are not on chip yet. It
+  // re-fetches the WHOLE pin instead (this chunk only — the rider's
+  // later chunks ride normally once the fill lands), so the re-fetch is
+  // exactly the pinned weight bytes the planned job skipped. Under the serial-FIFO CC lane the owner's fill is enqueued
   // before any rider can attach, so it retires before any rider
   // re-fetch does: no finer landing granularity could shrink the
   // re-fetch. Pin owners are exempt by construction: their chunks after
   // the fill chunk are ordered behind it on the same request.
-  if (engine_config_.rider_fill_barrier() && residency_ &&
-      plan.pin_attached && !plan.pin_owner &&
+  if (residency_ && plan.pin_attached && !plan.pin_owner &&
       chunk >= plan.first_resident_chunk &&
       !residency_->filled(plan.pin_key)) {
     Bytes refetch = 0;
@@ -1098,10 +1091,7 @@ bool ServingEngine::kv_join_reserve(std::size_t index) {
     if (st.joined) return true;  // hand-off reservation made at admission
     const Bytes page_bytes = engine_config_.kv_page_bytes();
     st.tokens_per_page = kv_tokens_per_page(models_[r.model], page_bytes);
-    st.shared_pages =
-        engine_config_.kv_prefix_sharing()
-            ? kv_shared_prefix_pages(r, models_[r.model], page_bytes)
-            : 0;
+    st.shared_pages = kv_shared_prefix_pages(r, models_[r.model], page_bytes);
     st.prefix =
         st.shared_pages > 0 ? kv_prefix_key(r.model, r.prefix_id) : 0;
     // Only the PROMPT's pages are reserved at join — the tail grows one
@@ -1179,26 +1169,16 @@ bool ServingEngine::preempt_victim(std::size_t& grower_pos) {
   std::vector<SwapCandidate> candidates;
   for (std::size_t j = 0; j < active_.size(); ++j) {
     if (j == grower_pos) continue;
-    const RequestRecord& rec = records_[active_[j]];
-    const std::size_t resident = pages_->resident_pages_of(rec.request.id);
-    if (resident == 0) continue;  // nothing evictable (prefix-only table)
-    SwapCandidate c;
-    c.id = rec.request.id;
-    c.resident_pages = resident;
-    c.last_touch = kv_paging_[active_[j]].last_touch;
-    c.context_tokens = rec.request.input_tokens + rec.tokens_generated;
-    c.remaining_tokens = rec.request.output_tokens - rec.tokens_generated;
-    candidates.push_back(c);
+    const RequestId id = records_[active_[j]].request.id;
+    // Nothing evictable in a prefix-only table.
+    if (pages_->resident_pages_of(id) == 0) continue;
+    candidates.push_back({id, kv_paging_[active_[j]].last_touch});
   }
   if (candidates.empty()) return false;
-  const std::vector<RequestId> order =
-      engine_config_.kv_swap_policy().victim_order(candidates);
-  EDGEMM_ASSERT_MSG(!order.empty(),
-                    "ServingEngine: SwapPolicy returned no victim order");
-  const std::size_t victim_index = index_.at(order.front());
+  const std::size_t victim_index =
+      index_.at(lru_victim_order(candidates).front());
   const auto it = std::find(active_.begin(), active_.end(), victim_index);
-  EDGEMM_ASSERT_MSG(it != active_.end(),
-                    "ServingEngine: SwapPolicy picked a non-candidate victim");
+  EDGEMM_ASSERT(it != active_.end());
   const std::size_t victim_pos =
       static_cast<std::size_t>(it - active_.begin());
   EDGEMM_ASSERT(victim_pos != grower_pos);
@@ -1306,7 +1286,7 @@ void ServingEngine::start_decode_step() {
     // Swap-in refill traffic as one KV-stream-priced DMA op (element
     // override 2, like the per-request KV streams): weight side k*2 plus
     // activation side ~2k re-streams ≈ the refilled bytes through the MC
-    // lane, so SwapPolicy thrashing costs decode bandwidth in the timing
+    // lane, so swap thrashing costs decode bandwidth in the timing
     // plane. A swap-in implies the swapped request rejoined active_, so
     // the step below always exists to carry the op.
     step.push_back(GemmWork{
@@ -1417,14 +1397,15 @@ void ServingEngine::rebalance() {
         decode_shared_bytes_[m] * static_cast<double>(max_remaining[m]);
   }
 
+  const std::size_t max_ratio = local_.manager().policy().max_mc_ratio;
   std::size_t ratio = 1;
   if (cc_pending_bytes_ <= 0.0) {
     // No upstream work: hand the MC side the whole ramp.
-    ratio = engine_config_.bandwidth_policy().max_mc_ratio;
+    ratio = max_ratio;
   } else if (mc_bytes > 0.0) {
     ratio = std::clamp<std::size_t>(
         static_cast<std::size_t>(mc_bytes / cc_pending_bytes_ + 0.5), 1,
-        engine_config_.bandwidth_policy().max_mc_ratio);
+        max_ratio);
   }
   local_.apply_bandwidth_ratio(ratio);
   ++rebalances_;

@@ -102,15 +102,14 @@ struct ServingResult {
   /// denied; retries of the same request are not re-counted).
   std::size_t placement_denials = 0;
   /// Weight bytes riders re-fetched because they dispatched before the
-  /// pin owner's fill chunk retired (rider_fill_barrier; bounds the PR 4
-  /// fill-timing optimism — 0 with the barrier off).
+  /// pin owner's fill chunk retired (the fill barrier).
   Bytes rider_refetch_bytes = 0;
   // --- Paged KV cache (paged_kv; all zero in whole-footprint mode) --------
   std::size_t kv_pages_allocated = 0;  ///< cumulative page allocations
   /// == kv_pages_allocated once the trace drains (exact conservation).
   std::size_t kv_pages_freed = 0;
   /// Joins that rode an existing shared-prefix run instead of
-  /// allocating it again (kv_prefix_sharing).
+  /// allocating it again (requests sharing a Request::prefix_id).
   std::size_t kv_shared_attaches = 0;
   std::size_t kv_shared_pages_saved = 0;  ///< pages those attaches skipped
   /// Partial boundary pages copied privately at join — the CoW fork of
@@ -297,7 +296,7 @@ class ServingEngine {
   /// step boundaries.
   struct KvPagingState {
     std::size_t tokens_per_page = 1;
-    KvPrefixKey prefix = 0;        ///< 0 = no shared run (or sharing off)
+    KvPrefixKey prefix = 0;        ///< 0 = no shared run
     std::size_t shared_pages = 0;  ///< full prefix pages shared with the group
     bool joined = false;           ///< holds pages (resident or swapped)
     bool swapped = false;          ///< preempted to DRAM, awaiting refill
@@ -316,10 +315,10 @@ class ServingEngine {
   void refill_swapped();
   /// Paged mode, step start after joins: grows every active request's
   /// page table to cover the token this step generates, preempting
-  /// SwapPolicy victims (or the grower itself, with no victim left) when
-  /// the budget is full.
+  /// lru_victim_order victims (or the grower itself, with no victim left)
+  /// when the budget is full.
   void grow_page_tables();
-  /// Swaps out ONE SwapPolicy victim among active_ (excluding position
+  /// Swaps out the lru_victim_order front among active_ (excluding position
   /// `grower_pos`, adjusted if the victim sat before it). False when no
   /// active holds an evictable private page.
   bool preempt_victim(std::size_t& grower_pos);

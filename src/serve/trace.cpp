@@ -11,7 +11,7 @@ std::vector<Request> poisson_trace(const TraceConfig& config) {
   if (config.requests == 0) {
     throw std::invalid_argument("poisson_trace: requests must be > 0");
   }
-  if (config.arrival_rate_per_s <= 0.0 || config.clock_hz <= 0.0) {
+  if (!(config.arrival_rate_per_s > 0.0) || !(config.clock_hz > 0.0)) {
     throw std::invalid_argument("poisson_trace: rate and clock must be > 0");
   }
   if (config.min_output_tokens == 0 ||
@@ -25,18 +25,18 @@ std::vector<Request> poisson_trace(const TraceConfig& config) {
   if (config.burst == 0) {
     throw std::invalid_argument("poisson_trace: burst must be > 0");
   }
-  if (config.slo_per_token_ms < 0.0) {
+  if (!(config.slo_per_token_ms >= 0.0)) {
     throw std::invalid_argument("poisson_trace: slo_per_token_ms must be >= 0");
   }
   double weight_sum = 0.0;
   for (const double w : config.model_weights) {
-    if (w < 0.0) {
+    if (!(w >= 0.0)) {
       throw std::invalid_argument(
           "poisson_trace: model_weights must be non-negative");
     }
     weight_sum += w;
   }
-  if (!config.model_weights.empty() && weight_sum <= 0.0) {
+  if (!config.model_weights.empty() && !(weight_sum > 0.0)) {
     throw std::invalid_argument(
         "poisson_trace: model_weights must have a positive sum");
   }

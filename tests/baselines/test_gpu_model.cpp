@@ -1,5 +1,6 @@
 #include "baselines/gpu_model.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -91,6 +92,10 @@ TEST(GpuSpecValidate, SettersRejectBadValuesEagerly) {
   EXPECT_THROW(GpuSpec{}.with_elem_bytes(0), std::invalid_argument);
   EXPECT_THROW(GpuSpec{}.with_board_power_w(0.0), std::invalid_argument);
   EXPECT_NO_THROW(GpuSpec{}.with_kernel_launch_seconds(0.0));  // free launch ok
+  // NaN fails every comparison, so it must not slip past the range check.
+  EXPECT_THROW(GpuSpec{}.with_kernel_launch_seconds(
+                   std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(GpuSpecValidate, ValidateCatchesHandBuiltBadSpecs) {
@@ -102,6 +107,9 @@ TEST(GpuSpecValidate, ValidateCatchesHandBuiltBadSpecs) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec = GpuSpec{};
   spec.elem_bytes = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = GpuSpec{};
+  spec.kernel_launch_seconds = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 

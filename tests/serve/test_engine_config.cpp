@@ -22,24 +22,18 @@ TEST(EngineConfig, DefaultsReproducePr1Composition) {
   EXPECT_EQ(config.kv_capacity(), 0u);  // accounting off
   EXPECT_EQ(config.weight_residency(), 0u);  // residency off
   EXPECT_FALSE(config.task_proxy_pruning().has_value());
-  // PR 5 residency-placement defaults: the placement-oblivious baseline
-  // with HONEST fill timing (the barrier defaults on — only the bench
-  // baselines switch it off to reproduce the PR 4 optimistic numbers).
+  // PR 5 residency-placement default: the placement-oblivious baseline.
   EXPECT_STREQ(config.placement().name(), "keep-current");
-  EXPECT_TRUE(config.rider_fill_barrier());
-  // PR 6 defaults: detailed tier, arrival-ordered queue — both knobs off
-  // keeps the engine byte-identical to PR 5.
+  // PR 6 default: the detailed tier keeps the engine byte-identical to
+  // PR 5.
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kDetailed);
-  EXPECT_FALSE(config.deadline_ordered_queue());
 }
 
 TEST(EngineConfig, ReplayAndQueueKnobsCompose) {
-  const EngineConfig config = EngineConfig()
-                                  .replay_mode(core::ReplayMode::kFast)
-                                  .deadline_ordered_queue(true);
+  const EngineConfig config =
+      EngineConfig().replay_mode(core::ReplayMode::kFast);
   EXPECT_NO_THROW(config.validate());
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kFast);
-  EXPECT_TRUE(config.deadline_ordered_queue());
 }
 
 TEST(EngineConfig, PlacementAndBarrierKnobsCompose) {
@@ -47,11 +41,9 @@ TEST(EngineConfig, PlacementAndBarrierKnobsCompose) {
       EngineConfig()
           .prefill_planner(std::make_shared<ResidentChunkedPrefill>(64))
           .weight_residency_bytes(1 << 24)
-          .placement_policy(std::make_shared<DemandWeightedPlacement>())
-          .rider_fill_barrier(false);
+          .placement_policy(std::make_shared<DemandWeightedPlacement>());
   EXPECT_NO_THROW(config.validate());
   EXPECT_STREQ(config.placement().name(), "demand-weighted");
-  EXPECT_FALSE(config.rider_fill_barrier());
   EXPECT_STREQ(EvictIdleOnPressure{}.name(), "evict-idle");
 }
 
@@ -90,7 +82,6 @@ TEST(EngineConfig, BuilderComposesPolicies) {
           .batch_policy(std::make_shared<ShortestRemainingFirst>())
           .manage_bandwidth(false)
           .prune_keep_fraction(0.5)
-          .rebalance_interval(1234)
           .kv_capacity_bytes(1 << 20);
   EXPECT_NO_THROW(config.validate());
   EXPECT_STREQ(config.scheduler().name(), "slo-aware");
@@ -98,7 +89,6 @@ TEST(EngineConfig, BuilderComposesPolicies) {
   EXPECT_STREQ(config.batch_policy().name(), "shortest-remaining-first");
   EXPECT_FALSE(config.manage_bandwidth());
   EXPECT_DOUBLE_EQ(config.prune_keep_fraction(), 0.5);
-  EXPECT_EQ(config.rebalance_interval(), 1234u);
   EXPECT_EQ(config.kv_capacity(), Bytes{1 << 20});
 }
 
@@ -137,26 +127,21 @@ TEST(EngineConfig, PagedKvDefaultsKeepLegacyAccounting) {
   const EngineConfig config;
   EXPECT_FALSE(config.paged_kv());  // whole-footprint tracker by default
   EXPECT_EQ(config.kv_page_bytes(), kDefaultKvPageBytes);
-  EXPECT_TRUE(config.kv_prefix_sharing());  // engaged only once paged_kv on
-  EXPECT_STREQ(config.kv_swap_policy().name(), "lru");
 }
 
 TEST(EngineConfig, PagedKvKnobsCompose) {
   const EngineConfig config = EngineConfig()
                                   .kv_capacity_bytes(1 << 20)
                                   .paged_kv(true)
-                                  .kv_page_bytes(4096)
-                                  .kv_prefix_sharing(false);
+                                  .kv_page_bytes(4096);
   EXPECT_NO_THROW(config.validate());
   EXPECT_TRUE(config.paged_kv());
   EXPECT_EQ(config.kv_page_bytes(), 4096u);
-  EXPECT_FALSE(config.kv_prefix_sharing());
 }
 
 TEST(EngineConfig, PagedKvSettersValidateEagerly) {
   EngineConfig config;
   EXPECT_THROW(config.kv_page_bytes(0), std::invalid_argument);
-  EXPECT_THROW(config.kv_swap_policy(nullptr), std::invalid_argument);
   // A paged budget smaller than one page cannot hold anything.
   EngineConfig tiny = EngineConfig()
                           .kv_capacity_bytes(1024)

@@ -1,6 +1,5 @@
 #include "serve/kv_pages.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -96,27 +95,25 @@ TEST(KvPageMath, SharedPrefixPagesCountsFullPagesOnly) {
 
 TEST(KvPageMath, PageFootprintRoundsUpPrivateTail) {
   const model::MllmConfig m = tiny_model();
-  // 32 + 8 = 40 tokens at 4/page: 10 pages, sharing off.
-  EXPECT_EQ(kv_page_footprint(req(0, 32, 8), m, kPage, false), 10u);
+  // 32 + 8 = 40 tokens at 4/page: 10 pages, no shared prefix.
+  EXPECT_EQ(kv_page_footprint(req(0, 32, 8), m, kPage), 10u);
   // 37 tokens round up to 10 pages too.
-  EXPECT_EQ(kv_page_footprint(req(0, 32, 5), m, kPage, false), 10u);
+  EXPECT_EQ(kv_page_footprint(req(0, 32, 5), m, kPage), 10u);
   // With sharing, the 8 shared prefix pages are counted once plus the
   // private tail: 8 shared + ceil(8/4) private = 10.
-  EXPECT_EQ(kv_page_footprint(req(0, 32, 8, 1, 32), m, kPage, true), 10u);
-  // Sharing disabled ignores the prefix annotation.
-  EXPECT_EQ(kv_page_footprint(req(0, 32, 8, 1, 32), m, kPage, false), 10u);
+  EXPECT_EQ(kv_page_footprint(req(0, 32, 8, 1, 32), m, kPage), 10u);
+  // Without a prefix group the prefix_tokens annotation is ignored.
+  EXPECT_EQ(kv_page_footprint(req(0, 32, 8, 0, 32), m, kPage), 10u);
 }
 
-// --- SwapPolicy -------------------------------------------------------------
+// --- Swap victim order ------------------------------------------------------
 
-TEST(LruSwapPolicy, OrdersColdestFirstWithIdTiebreak) {
-  LruSwapPolicy lru;
-  EXPECT_STREQ(lru.name(), "lru");
+TEST(KvPageMath, LruVictimOrderIsColdestFirstWithIdTiebreak) {
   std::vector<SwapCandidate> candidates;
-  candidates.push_back({/*id=*/7, 2, /*last_touch=*/900, 10, 5});
-  candidates.push_back({/*id=*/3, 2, /*last_touch=*/100, 10, 5});
-  candidates.push_back({/*id=*/9, 2, /*last_touch=*/100, 10, 5});
-  const auto order = lru.victim_order(candidates);
+  candidates.push_back({/*id=*/7, /*last_touch=*/900});
+  candidates.push_back({/*id=*/3, /*last_touch=*/100});
+  candidates.push_back({/*id=*/9, /*last_touch=*/100});
+  const auto order = lru_victim_order(candidates);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 3u);  // coldest; id breaks the 100-tie
   EXPECT_EQ(order[1], 9u);
@@ -459,11 +456,13 @@ TEST(PagedServing, PartialBoundaryPageIsCowForkedPrivately) {
 }
 
 TEST(PagedServing, SharingOffIgnoresPrefixAnnotations) {
-  const std::vector<Request> trace = {req(0, 64, 8, 1, 64),
-                                      req(1, 64, 8, 1, 64)};
-  EngineConfig config = paged_config(64 * kPage).kv_prefix_sharing(false);
-  const auto out =
-      replay_trace(small_cfg(), {tiny_model()}, std::move(config), trace);
+  // The trace decides sharing: the same requests without a prefix group
+  // (prefix_id 0) charge their whole prompt privately, whatever their
+  // prefix_tokens say.
+  const std::vector<Request> trace = {req(0, 64, 8, 0, 64),
+                                      req(1, 64, 8, 0, 64)};
+  const auto out = replay_trace(small_cfg(), {tiny_model()},
+                                paged_config(64 * kPage), trace);
   EXPECT_EQ(out.result.completed, 2u);
   EXPECT_EQ(out.result.kv_shared_attaches, 0u);
   EXPECT_EQ(out.result.kv_shared_pages_saved, 0u);
@@ -489,38 +488,6 @@ TEST(PagedServing, TightBudgetSwapsToDramAndStillCompletes) {
     EXPECT_TRUE(rec.done);
     EXPECT_EQ(rec.tokens_generated, rec.request.output_tokens);
   }
-}
-
-TEST(PagedServing, CustomSwapPolicySelectsItsOwnVictims) {
-  // Evict the request with the MOST resident pages first (anti-LRU on
-  // this workload): the seam must honor it without any engine change.
-  class BiggestFirst : public SwapPolicy {
-   public:
-    const char* name() const override { return "biggest-first"; }
-    std::vector<RequestId> victim_order(
-        const std::vector<SwapCandidate>& candidates) const override {
-      std::vector<SwapCandidate> sorted = candidates;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const SwapCandidate& a, const SwapCandidate& b) {
-                  if (a.resident_pages != b.resident_pages) {
-                    return a.resident_pages > b.resident_pages;
-                  }
-                  return a.id < b.id;
-                });
-      std::vector<RequestId> order;
-      for (const SwapCandidate& c : sorted) order.push_back(c.id);
-      return order;
-    }
-  };
-  const std::vector<Request> trace = {req(0, 64, 8, 1, 64),
-                                      req(1, 64, 8, 1, 64)};
-  EngineConfig config =
-      paged_config(18 * kPage).kv_swap_policy(std::make_shared<BiggestFirst>());
-  const auto out =
-      replay_trace(small_cfg(), {tiny_model()}, std::move(config), trace);
-  EXPECT_EQ(out.result.completed, 2u);
-  EXPECT_GT(out.result.kv_swap_preemptions, 0u);
-  EXPECT_EQ(out.result.kv_pages_allocated, out.result.kv_pages_freed);
 }
 
 TEST(PagedServing, ValidatesOversizedAndMalformedRequestsUpFront) {
@@ -559,8 +526,7 @@ TEST(PagedServing, LegacyModeIsTheDefaultAndStaysByteIdentical) {
   EngineConfig legacy = fast_config()
                             .kv_capacity_bytes(budget)
                             .paged_kv(false)
-                            .kv_page_bytes(kPage)
-                            .kv_prefix_sharing(false);
+                            .kv_page_bytes(kPage);
   const auto explicit_off =
       replay_trace(small_cfg(), {tiny_model()}, std::move(legacy), trace);
   EXPECT_TRUE(baseline.result == explicit_off.result);
@@ -602,6 +568,8 @@ TEST(PagedServing, SweepOutcomeIsByteIdenticalAtAnyWorkerCount) {
   trace_cfg.prefix_groups = 2;
   trace_cfg.prefix_tokens = 64;
   const auto trace = poisson_trace(trace_cfg);
+  trace_cfg.prefix_groups = 0;
+  const auto prefix_free = poisson_trace(trace_cfg);
 
   auto cases = [&] {
     std::vector<SweepCase> grid;
@@ -609,8 +577,8 @@ TEST(PagedServing, SweepOutcomeIsByteIdenticalAtAnyWorkerCount) {
                     paged_config(64 * kPage), trace});
     grid.push_back({"paged-tight", small_cfg(), {tiny_model()},
                     paged_config(20 * kPage), trace});
-    grid.push_back({"paged-noshare", small_cfg(), {tiny_model()},
-                    paged_config(64 * kPage).kv_prefix_sharing(false), trace});
+    grid.push_back({"paged-prefix-free", small_cfg(), {tiny_model()},
+                    paged_config(64 * kPage), prefix_free});
     return grid;
   };
   SweepOptions sequential;

@@ -285,30 +285,40 @@ TEST(PlacementPolicies, DecayedDemandKeepsABurstyModelRanked) {
 
 // --- Engine: fill-barrier edges ---------------------------------------------
 
+// The fill barrier's reference is the residency-free ChunkedPrefill(48)
+// replay of the same trace: the barrier only moves bytes from "saved" to
+// "fetched", so a resident replay's fetched + saved weight bytes equal
+// exactly what plain chunked prefill fetches — every re-fetched byte is
+// accounted, none invented.
+
+EngineConfig resident_config(Bytes budget) {
+  return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
+      .weight_residency_bytes(budget);
+}
+
+ServingResult chunked_reference(const core::ChipConfig& cfg,
+                                const std::vector<model::MllmConfig>& models,
+                                const std::vector<Request>& trace) {
+  return replay_trace(cfg, models,
+                      fast_config(std::make_shared<ChunkedPrefill>(48)), trace)
+      .result;
+}
+
 TEST(FillBarrierEngine, RiderBeforeFillRefetchesExactlyTheUnlandedBytes) {
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
   const Bytes budget = 2 * full_weight_set(m, cfg);
   // Both requests admitted at cycle 0: the rider attaches before the
   // owner's fill chunk (chunk 0) has retired, so under the barrier its
-  // early chunks stream the weights the optimistic model skipped.
+  // early chunks stream the weights a fill-timing-optimistic model
+  // would skip.
   const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 0, 4, 192)};
-  auto config = [&](bool barrier) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .rider_fill_barrier(barrier);
-  };
-  const auto off = replay_trace(cfg, {m}, config(false), trace);
-  const auto on = replay_trace(cfg, {m}, config(true), trace);
+  const auto on = replay_trace(cfg, {m}, resident_config(budget), trace);
+  const ServingResult chunked = chunked_reference(cfg, {m}, trace);
 
-  EXPECT_EQ(off.result.rider_refetch_bytes, 0u);
   EXPECT_GT(on.result.rider_refetch_bytes, 0u);
-  // Conservation: the barrier only MOVES bytes from "saved" to
-  // "fetched" — every re-fetched byte is accounted, none invented.
-  EXPECT_EQ(on.result.cc_weight_fetch_bytes,
-            off.result.cc_weight_fetch_bytes + on.result.rider_refetch_bytes);
-  EXPECT_EQ(off.result.cc_weight_bytes_saved,
-            on.result.cc_weight_bytes_saved + on.result.rider_refetch_bytes);
+  EXPECT_EQ(on.result.cc_weight_fetch_bytes + on.result.cc_weight_bytes_saved,
+            chunked.cc_weight_fetch_bytes);
   // The pin topology itself is unchanged: one owner, one rider.
   EXPECT_EQ(on.result.weight_pins, 1u);
   EXPECT_EQ(on.result.weight_shared_attaches, 1u);
@@ -322,11 +332,8 @@ TEST(FillBarrierEngine, RiderSweepAcrossTheFillBoundaryConservesBytes) {
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
   const Bytes budget = 2 * full_weight_set(m, cfg);
-  const auto probe = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget),
-      {req(0, 0, 4, 192)});
+  const auto probe =
+      replay_trace(cfg, {m}, resident_config(budget), {req(0, 0, 4, 192)});
   const Cycle prefill_span =
       probe.records[0].prefill_end - probe.records[0].prefill_start;
   for (int i = 0; i <= 4; ++i) {
@@ -334,58 +341,40 @@ TEST(FillBarrierEngine, RiderSweepAcrossTheFillBoundaryConservesBytes) {
     const std::vector<Request> trace = {req(0, 0, 4, 192),
                                         req(1, arrival, 4, 192),
                                         req(2, 2 * arrival, 4, 192)};
-    auto config = [&](bool barrier) {
-      return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(barrier);
-    };
-    const auto off = replay_trace(cfg, {m}, config(false), trace);
-    const auto on = replay_trace(cfg, {m}, config(true), trace);
+    const auto on = replay_trace(cfg, {m}, resident_config(budget), trace);
+    const ServingResult chunked = chunked_reference(cfg, {m}, trace);
     EXPECT_EQ(on.result.completed, 3u);
-    EXPECT_EQ(on.result.cc_weight_fetch_bytes,
-              off.result.cc_weight_fetch_bytes + on.result.rider_refetch_bytes)
+    EXPECT_EQ(
+        on.result.cc_weight_fetch_bytes + on.result.cc_weight_bytes_saved,
+        chunked.cc_weight_fetch_bytes)
         << "arrival offset " << i << "/4 through the owner's prefill";
-    EXPECT_EQ(off.result.cc_weight_bytes_saved,
-              on.result.cc_weight_bytes_saved + on.result.rider_refetch_bytes);
   }
 }
 
 TEST(FillBarrierEngine, RiderAfterFillLandedRidesBarrierFree) {
   // The rider arrives 2 cycles before the owner's LAST chunk retires:
-  // the fill (chunk 0) landed long ago, so barrier-on replays the
-  // barrier-off records bit-for-bit and no re-fetch is ledgered.
+  // the fill (chunk 0) landed long ago, so the rider rides without any
+  // re-fetch and every byte it skipped is ledgered as saved.
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
   const Bytes budget = 2 * full_weight_set(m, cfg);
-  const auto probe = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget),
-      {req(0, 0, 4, 192)});
+  const auto probe =
+      replay_trace(cfg, {m}, resident_config(budget), {req(0, 0, 4, 192)});
   const Cycle late = probe.records[0].prefill_end - 2;
   const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, late, 4, 192)};
-  auto config = [&](bool barrier) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .rider_fill_barrier(barrier);
-  };
-  const auto off = replay_trace(cfg, {m}, config(false), trace);
-  const auto on = replay_trace(cfg, {m}, config(true), trace);
+  const auto on = replay_trace(cfg, {m}, resident_config(budget), trace);
+  const ServingResult chunked = chunked_reference(cfg, {m}, trace);
 
   EXPECT_EQ(on.result.weight_shared_attaches, 1u);  // it really did ride
   EXPECT_EQ(on.result.rider_refetch_bytes, 0u);
-  ASSERT_EQ(on.records.size(), off.records.size());
-  for (std::size_t i = 0; i < on.records.size(); ++i) {
-    EXPECT_EQ(on.records[i].finish, off.records[i].finish);
-    EXPECT_EQ(on.records[i].prefill_end, off.records[i].prefill_end);
-  }
-  EXPECT_EQ(on.result.cc_weight_fetch_bytes, off.result.cc_weight_fetch_bytes);
+  EXPECT_EQ(on.result.cc_weight_fetch_bytes + on.result.cc_weight_bytes_saved,
+            chunked.cc_weight_fetch_bytes);
 }
 
 TEST(FillBarrierEngine, OwnersAndPerRequestPinsAreExempt) {
   // A pin owner's chunks are ordered behind its own fill chunk, and a
-  // pin no other request shares has no riders: in both compositions
-  // barrier on and off must replay bit-for-bit.
+  // pin no other request shares has no riders: neither composition
+  // re-fetches anything.
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
   const Bytes budget = 2 * full_weight_set(m, cfg);
@@ -393,37 +382,22 @@ TEST(FillBarrierEngine, OwnersAndPerRequestPinsAreExempt) {
   // so every attach is an owner.
   const std::vector<Request> trace = {req(0, 0, 4, 192, 0),
                                       req(1, 0, 4, 144, 1)};
-  auto per_request = [&](bool barrier) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .rider_fill_barrier(barrier);
-  };
   const std::vector<model::MllmConfig> models = {m, tiny_model("tiny-mllm-b")};
-  const auto pr_off = replay_trace(cfg, models, per_request(false), trace);
-  const auto pr_on = replay_trace(cfg, models, per_request(true), trace);
+  const auto pr_on = replay_trace(cfg, models, resident_config(budget), trace);
+  const ServingResult pr_chunked = chunked_reference(cfg, models, trace);
   EXPECT_EQ(pr_on.result.weight_pins, 2u);
   EXPECT_EQ(pr_on.result.weight_shared_attaches, 0u);
   EXPECT_EQ(pr_on.result.rider_refetch_bytes, 0u);
-  EXPECT_EQ(pr_on.result.cc_weight_fetch_bytes,
-            pr_off.result.cc_weight_fetch_bytes);
-  for (std::size_t i = 0; i < pr_on.records.size(); ++i) {
-    EXPECT_EQ(pr_on.records[i].finish, pr_off.records[i].finish);
-  }
+  EXPECT_EQ(
+      pr_on.result.cc_weight_fetch_bytes + pr_on.result.cc_weight_bytes_saved,
+      pr_chunked.cc_weight_fetch_bytes);
   // Single-request shared mode: the owner is the only attach.
-  const auto off = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(false),
-      {req(0, 0, 4, 192)});
-  const auto on = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(true),
-      {req(0, 0, 4, 192)});
+  const std::vector<Request> single = {req(0, 0, 4, 192)};
+  const auto on = replay_trace(cfg, {m}, resident_config(budget), single);
+  const ServingResult chunked = chunked_reference(cfg, {m}, single);
   EXPECT_EQ(on.result.rider_refetch_bytes, 0u);
-  EXPECT_EQ(on.records[0].finish, off.records[0].finish);
+  EXPECT_EQ(on.result.cc_weight_fetch_bytes + on.result.cc_weight_bytes_saved,
+            chunked.cc_weight_fetch_bytes);
 }
 
 TEST(FillBarrierEngine, FallbackNotStallSurvivesTheBarrier) {
@@ -438,10 +412,7 @@ TEST(FillBarrierEngine, FallbackNotStallSurvivesTheBarrier) {
                                       req(1, 0, 4, 192, 1)};
   const auto outcome = replay_trace(
       cfg, {a, b},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(true),
-      trace);
+      resident_config(budget), trace);
   EXPECT_EQ(outcome.result.completed, 2u);
   EXPECT_GE(outcome.result.weight_pin_fallbacks, 1u);
   EXPECT_EQ(outcome.result.rider_refetch_bytes, 0u);  // no riders at all
@@ -451,8 +422,8 @@ TEST(FillBarrierEngine, FallbackNotStallSurvivesTheBarrier) {
 // --- Engine: placement policies ---------------------------------------------
 
 TEST(PlacementEngine, KeepCurrentIsByteIdenticalToTheDefaultComposition) {
-  // Explicit KeepCurrentPlacement + barrier off IS the PR 4 engine: the
-  // same multi-rider shared-pin trace replays bit-for-bit against the
+  // Explicit KeepCurrentPlacement IS the default composition: the same
+  // multi-rider shared-pin trace replays bit-for-bit against the
   // default-placement config, with every placement counter at zero.
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
@@ -463,15 +434,9 @@ TEST(PlacementEngine, KeepCurrentIsByteIdenticalToTheDefaultComposition) {
       cfg, {m},
       fast_config(std::make_shared<ResidentChunkedPrefill>(48))
           .weight_residency_bytes(budget)
-          .placement_policy(std::make_shared<KeepCurrentPlacement>())
-          .rider_fill_barrier(false),
+          .placement_policy(std::make_shared<KeepCurrentPlacement>()),
       trace);
-  const auto dflt = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(false),
-      trace);
+  const auto dflt = replay_trace(cfg, {m}, resident_config(budget), trace);
   ASSERT_EQ(expl.records.size(), dflt.records.size());
   for (std::size_t i = 0; i < expl.records.size(); ++i) {
     EXPECT_EQ(expl.records[i].finish, dflt.records[i].finish);
@@ -627,8 +592,7 @@ TEST(PlacementEngine, DecayedDemandOptionsReplayTheTraceToCompletion) {
                                   llm_layer_group_bytes(b, cfg))
           .placement_policy(std::make_shared<DemandWeightedPlacement>(
               DemandWeightedOptions{.fractional_sets = true,
-                                    .decayed_demand = true}))
-          .rider_fill_barrier(true);
+                                    .decayed_demand = true}));
   const auto out = replay_trace(
       cfg, {a, b}, config,
       {req(0, 0, 4, 192, 0), req(1, 0, 4, 192, 1), req(2, 400000, 4, 192, 0),

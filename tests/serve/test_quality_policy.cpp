@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -226,6 +227,9 @@ TEST(QualityPolicy, SloPressureValidatesParameters) {
   EXPECT_THROW(SloPressureQuality(0.0), std::invalid_argument);
   EXPECT_THROW(SloPressureQuality(1.5), std::invalid_argument);
   EXPECT_THROW(SloPressureQuality(0.125, -0.1), std::invalid_argument);
+  EXPECT_THROW(
+      SloPressureQuality(0.125, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
   EXPECT_NO_THROW(SloPressureQuality(1.0, 0.0));
 }
 

@@ -164,12 +164,23 @@ TEST(ServingEngine, BandwidthManagementRebalancesUnderLoad) {
   trace_cfg.min_output_tokens = 8;
   trace_cfg.max_output_tokens = 24;
 
-  EngineConfig config = fast_config();
-  config.manage_bandwidth(true).rebalance_interval(50'000);
-  ServingEngine engine(small_cfg(), {tiny_model()}, std::move(config));
-  const auto result = engine.run(poisson_trace(trace_cfg));
+  // The rebalancer ticks once per PMC throttle interval T (§IV-B), which
+  // the chip config carries.
+  core::ChipConfig chip = small_cfg();
+  chip.dma.throttle_interval = 50'000;
+  auto replay = [&](const core::ChipConfig& c) {
+    ServingEngine engine(c, {tiny_model()},
+                         fast_config().manage_bandwidth(true));
+    return engine.run(poisson_trace(trace_cfg));
+  };
+  const auto result = replay(chip);
   EXPECT_EQ(result.completed, 8u);
   EXPECT_GT(result.rebalances, 0u);
+  // Halving the chip's T strictly raises the tick count on the same trace.
+  chip.dma.throttle_interval /= 2;
+  const auto faster = replay(chip);
+  EXPECT_EQ(faster.completed, 8u);
+  EXPECT_GT(faster.rebalances, result.rebalances);
 }
 
 TEST(ServingEngine, FiresCompletionCallbacksInFinishOrder) {

@@ -136,14 +136,10 @@ TEST(SharedPinEngine, SameModelRequestsChargeBudgetOnce) {
   const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 100, 4, 192)};
   const auto chunked = replay_trace(
       cfg, {m}, fast_config(std::make_shared<ChunkedPrefill>(48)), trace);
-  // Fill barrier off: this test locks the PR 4 fill-timing-OPTIMISTIC
-  // accounting (the rider saves on every chunk from the instant it
-  // attaches); test_placement.cpp covers the barrier-on honest variant.
   const auto shared = replay_trace(
       cfg, {m},
       fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(false),
+          .weight_residency_bytes(budget),
       trace);
 
   EXPECT_EQ(shared.result.completed, 2u);
@@ -157,11 +153,13 @@ TEST(SharedPinEngine, SameModelRequestsChargeBudgetOnce) {
     ASSERT_EQ(rec.prefill_chunks, 4u);
   }
   // Exact saved-bytes accounting: the owner fetches chunk 0 and rides
-  // chunks 1..3 (3 sets); the rider attaches to weights already on chip
-  // and rides ALL 4 chunks (4 sets) — including the chunks it runs after
+  // chunks 1..3 (3 sets). The rider attaches before the owner's fill
+  // chunk retires, so the fill barrier re-fetches its chunk 0 (1 set);
+  // it rides chunks 1..3 (3 sets) — including the chunks it runs after
   // the owner's prefill retired, which proves the refcount held the
   // bytes until the last detach.
-  EXPECT_EQ(shared.result.cc_weight_bytes_saved, 7u * set);
+  EXPECT_EQ(shared.result.rider_refetch_bytes, set);
+  EXPECT_EQ(shared.result.cc_weight_bytes_saved, 6u * set);
   EXPECT_EQ(chunked.result.cc_weight_fetch_bytes -
                 shared.result.cc_weight_fetch_bytes,
             shared.result.cc_weight_bytes_saved);

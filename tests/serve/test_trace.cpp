@@ -1,5 +1,6 @@
 #include "serve/trace.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -80,6 +81,21 @@ TEST(PoissonTrace, ValidatesConfig) {
   EXPECT_THROW(poisson_trace(cfg), std::invalid_argument);
   cfg = TraceConfig{};
   cfg.model_weights = {0.0, 0.0};
+  EXPECT_THROW(poisson_trace(cfg), std::invalid_argument);
+  // NaN fails every comparison, so each range check must reject it too:
+  // a NaN rate would otherwise reach static_cast<Cycle>(NaN).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  cfg = TraceConfig{};
+  cfg.arrival_rate_per_s = nan;
+  EXPECT_THROW(poisson_trace(cfg), std::invalid_argument);
+  cfg = TraceConfig{};
+  cfg.clock_hz = nan;
+  EXPECT_THROW(poisson_trace(cfg), std::invalid_argument);
+  cfg = TraceConfig{};
+  cfg.slo_per_token_ms = nan;
+  EXPECT_THROW(poisson_trace(cfg), std::invalid_argument);
+  cfg = TraceConfig{};
+  cfg.model_weights = {1.0, nan};
   EXPECT_THROW(poisson_trace(cfg), std::invalid_argument);
 }
 

@@ -15,7 +15,7 @@ appear as an identifier in the corresponding header:
   ClusterResult / ClusterOutcome::<name> -> src/serve/cluster/cluster_engine.hpp
   RouterPolicy::<name>  -> src/serve/cluster/router.hpp
   ChipLink::<name>      -> src/mem/memory_path.hpp
-  KvPageAllocator / SwapPolicy::<name> -> src/serve/kv_pages.hpp
+  KvPageAllocator / SwapCandidate::<name> -> src/serve/kv_pages.hpp
   ExecutionBackend::<name>  -> src/core/execution_backend.hpp
   GpuBackend / GpuSpec::<name> -> src/baselines/gpu_backend.hpp + gpu_model.hpp
   OffloadPolicy / OffloadContext::<name> -> src/serve/policy.hpp
@@ -37,7 +37,7 @@ import sys
 REF_RE = re.compile(
     r"\b(EngineConfig|ServingResult|ReplayMode|SweepCase|SweepOptions"
     r"|SweepOutcome|ClusterConfig|ClusterResult|ClusterOutcome"
-    r"|RouterPolicy|ChipLink|KvPageAllocator|SwapPolicy|ExecutionBackend"
+    r"|RouterPolicy|ChipLink|KvPageAllocator|SwapCandidate|ExecutionBackend"
     r"|GpuBackend|GpuSpec|OffloadPolicy|OffloadContext"
     r"|QualityPolicy|QualityContext|RequestRecord)(?:::|\.)(\w+)")
 
@@ -54,7 +54,7 @@ HEADERS = {
     "RouterPolicy": "src/serve/cluster/router.hpp",
     "ChipLink": "src/mem/memory_path.hpp",
     "KvPageAllocator": "src/serve/kv_pages.hpp",
-    "SwapPolicy": "src/serve/kv_pages.hpp",
+    "SwapCandidate": "src/serve/kv_pages.hpp",
     "ExecutionBackend": "src/core/execution_backend.hpp",
     "GpuBackend": "src/baselines/gpu_backend.hpp",
     "GpuSpec": "src/baselines/gpu_model.hpp",
