@@ -4,6 +4,10 @@
 // clock), not modelled chip cycles.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "coproc/cim_macro.hpp"
@@ -83,6 +87,57 @@ void BM_EventKernel(benchmark::State& state) {
                           static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventKernel)->Arg(1000)->Arg(100000);
+
+// L0 with captures too large for std::function's inline buffer, like
+// the detailed tier's completion callbacks.
+void BM_EventKernelHeavyCapture(benchmark::State& state) {
+  const auto events = static_cast<std::size_t>(state.range(0));
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    for (std::size_t i = 0; i < events; ++i) {
+      const std::array<std::uint64_t, 4> payload{i, i + 1, i + 2, i + 3};
+      sim.schedule(i % 97, [&sum, payload] { sum += payload[0] + payload[3]; });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventKernelHeavyCapture)->Arg(1000)->Arg(100000);
+
+// L1: bursts through the chip's 3-hop route (group crossbar -> system
+// crossbar -> DRAM, ChipConfig rates) from several ports at once, split
+// across two group crossbars. Items are bursts.
+void BM_MemoryPathChain(benchmark::State& state) {
+  const auto ports = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBurstsPerPort = 256;
+  std::size_t completed = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    mem::ResourceServer sys_xbar(sim, "sys-xbar", 256.0, 4);
+    mem::ResourceServer grp0(sim, "grp-xbar0", 128.0, 4);
+    mem::ResourceServer grp1(sim, "grp-xbar1", 128.0, 4);
+    mem::DramController dram(sim, mem::DramConfig{51.2, 100});
+    std::vector<mem::MemoryPath> paths(ports);
+    for (std::size_t p = 0; p < ports; ++p) {
+      const std::string name = "c" + std::to_string(p);
+      mem::ResourceServer& group = p % 2 == 0 ? grp0 : grp1;
+      paths[p].add_hop(group, group.add_port(name));
+      paths[p].add_hop(sys_xbar, sys_xbar.add_port(name));
+      paths[p].add_hop(dram.channel(), dram.add_port(name));
+    }
+    for (std::size_t b = 0; b < kBurstsPerPort; ++b) {
+      for (mem::MemoryPath& path : paths) path.request(4096, [&completed] { ++completed; });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(completed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ports * kBurstsPerPort));
+}
+BENCHMARK(BM_MemoryPathChain)->Arg(2)->Arg(8);
 
 void BM_DmaContention(benchmark::State& state) {
   const auto clusters = static_cast<std::size_t>(state.range(0));

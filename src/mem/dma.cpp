@@ -99,13 +99,16 @@ void DmaEngine::issue_or_defer(Burst burst) {
 }
 
 void DmaEngine::issue(Burst burst) {
-  const Bytes bytes = burst.bytes;
-  path_.request(bytes, [this, last = burst.last, done = std::move(burst.done)] {
-    if (last) {
-      EDGEMM_ASSERT(inflight_ > 0);
-      --inflight_;
-      if (done) done();
-    }
+  if (!burst.last) {
+    // Nothing listens for a non-last burst; the channel still fires an
+    // empty completion event for it.
+    path_.request(burst.bytes, nullptr);
+    return;
+  }
+  path_.request(burst.bytes, [this, done = std::move(burst.done)] {
+    EDGEMM_ASSERT(inflight_ > 0);
+    --inflight_;
+    if (done) done();
   });
 }
 

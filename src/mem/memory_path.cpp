@@ -13,24 +13,34 @@ void MemoryPath::add_hop(ResourceServer& server, int port) {
   hops_.push_back(Hop{&server, port});
 }
 
-void MemoryPath::request(Bytes bytes, std::function<void()> done) const {
+void MemoryPath::request(Bytes bytes, ResourceServer::Done done) {
   if (hops_.empty()) {
     throw std::logic_error("MemoryPath::request: no hops configured");
   }
-  request_from(0, bytes, std::move(done));
+  if (free_routes_.empty()) {
+    free_routes_.push_back(routes_.size());
+    routes_.emplace_back();
+  }
+  const std::size_t id = free_routes_.back();
+  free_routes_.pop_back();
+  routes_[id] = Route{bytes, 0, std::move(done)};
+  dispatch(id);
 }
 
-void MemoryPath::request_from(std::size_t index, Bytes bytes,
-                              std::function<void()> done) const {
-  const Hop& hop = hops_[index];
-  if (index + 1 == hops_.size()) {
-    hop.server->request(hop.port, bytes, std::move(done));
+void MemoryPath::dispatch(std::size_t id) {
+  Route& route = routes_[id];
+  const Hop& hop = hops_[route.hop];
+  if (route.hop + 1 < hops_.size()) {
+    ++route.hop;
+    hop.server->request(hop.port, route.bytes, [this, id] { dispatch(id); });
     return;
   }
-  hop.server->request(hop.port, bytes,
-                      [this, index, bytes, done = std::move(done)]() mutable {
-                        request_from(index + 1, bytes, std::move(done));
-                      });
+  // Last hop: hand the route's own `done` to the channel and recycle it.
+  const Bytes bytes = route.bytes;
+  ResourceServer::Done done;
+  done.swap(route.done);
+  free_routes_.push_back(id);
+  hop.server->request(hop.port, bytes, std::move(done));
 }
 
 Cycle MemoryPath::total_latency() const {

@@ -12,7 +12,6 @@
 #ifndef EDGEMM_MEM_MEMORY_PATH_HPP
 #define EDGEMM_MEM_MEMORY_PATH_HPP
 
-#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -34,7 +33,11 @@ class MemoryPath {
 
   /// Routes one burst through all hops in order; `done` fires when the
   /// final hop completes. Throws std::logic_error on an empty path.
-  void request(Bytes bytes, std::function<void()> done) const;
+  ///
+  /// A burst in flight between hops is held in a pooled route record;
+  /// each hop's continuation captures only {this, route id}, so the path
+  /// must outlive its bursts and must not move while any is in flight.
+  void request(Bytes bytes, ResourceServer::Done done);
 
   /// Sum of per-hop latencies (for analytic sanity checks).
   Cycle total_latency() const;
@@ -47,10 +50,20 @@ class MemoryPath {
     ResourceServer* server = nullptr;
     int port = -1;
   };
-  void request_from(std::size_t index, Bytes bytes,
-                    std::function<void()> done) const;
+  /// A burst that still has hops ahead of it.
+  struct Route {
+    Bytes bytes = 0;
+    std::size_t hop = 0;  // hop the burst is currently queued on
+    ResourceServer::Done done;
+  };
+
+  /// Queues route `id` on its current hop; the last hop gets the route's
+  /// `done` directly and the record is recycled.
+  void dispatch(std::size_t id);
 
   std::vector<Hop> hops_;
+  std::vector<Route> routes_;
+  std::vector<std::size_t> free_routes_;
 };
 
 /// One serialized chip-to-chip channel (board-level SerDes between two

@@ -46,7 +46,10 @@ std::size_t ResourceServer::queued_requests() const {
 double ResourceServer::utilization() const {
   const Cycle elapsed = sim_.now();
   if (elapsed == 0) return 0.0;
-  return static_cast<double>(busy_cycles_) / static_cast<double>(elapsed);
+  // busy_cycles_ charges an occupancy in full at dispatch; count only the
+  // elapsed part of the one still in flight.
+  const Cycle ahead = channel_busy_ && busy_until_ > elapsed ? busy_until_ - elapsed : 0;
+  return static_cast<double>(busy_cycles_ - ahead) / static_cast<double>(elapsed);
 }
 
 void ResourceServer::try_dispatch() {
@@ -74,6 +77,7 @@ void ResourceServer::try_dispatch() {
   const Cycle busy_for = occupancy > 0 ? occupancy : 1;
 
   channel_busy_ = true;
+  busy_until_ = sim_.now() + busy_for;
   busy_cycles_ += busy_for;
   port.bytes_served += req.bytes;
   bytes_served_ += req.bytes;
@@ -84,9 +88,9 @@ void ResourceServer::try_dispatch() {
     channel_busy_ = false;
     try_dispatch();
   });
-  sim_.schedule(busy_for + latency_, [done = std::move(req.done)] {
-    if (done) done();
-  });
+  // The request's own callback is the completion event; a null one still
+  // costs an (empty) event, so event counts do not depend on listeners.
+  sim_.schedule(busy_for + latency_, req.done ? std::move(req.done) : Done([] {}));
 }
 
 }  // namespace edgemm::mem

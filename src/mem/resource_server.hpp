@@ -34,7 +34,8 @@ class ResourceServer {
   /// Registers a requesting port (e.g. one per cluster DMA). Returns its id.
   int add_port(std::string port_name);
 
-  /// Enqueues a transfer of `bytes` on `port`; `done` fires at completion.
+  /// Enqueues a transfer of `bytes` on `port`; `done` (may be null) fires
+  /// at completion, itself scheduled as the completion event.
   /// Throws std::out_of_range for an unknown port.
   void request(int port, Bytes bytes, Done done);
 
@@ -48,7 +49,8 @@ class ResourceServer {
   /// Bytes served on behalf of one port.
   Bytes bytes_served(int port) const;
 
-  /// Cycles during which the channel was occupied.
+  /// Cycles of occupancy charged so far; an in-flight request counts in
+  /// full from its dispatch.
   Cycle busy_cycles() const { return busy_cycles_; }
 
   /// Accounts service performed outside the event-driven channel — the
@@ -62,7 +64,8 @@ class ResourceServer {
   /// Requests currently queued across all ports (excluding in-flight).
   std::size_t queued_requests() const;
 
-  /// Channel utilization in [0,1] relative to elapsed simulation time.
+  /// Channel utilization in [0,1] relative to elapsed simulation time;
+  /// only the elapsed part of an in-flight occupancy counts.
   double utilization() const;
 
  private:
@@ -85,6 +88,7 @@ class ResourceServer {
   std::vector<Port> ports_;
   std::size_t rr_next_ = 0;  // next port considered by the arbiter
   bool channel_busy_ = false;
+  Cycle busy_until_ = 0;  // release cycle of the in-flight request
   Bytes bytes_served_ = 0;
   Cycle busy_cycles_ = 0;
 };

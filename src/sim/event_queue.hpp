@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.hpp"
@@ -13,6 +12,12 @@ namespace edgemm::sim {
 
 /// Time-ordered queue of callbacks. Events at equal timestamps fire in
 /// insertion order (a strict tie-break keeps runs deterministic).
+///
+/// The heap orders plain {when, seq, slot} records; the actions live in a
+/// slab whose slots are recycled through a free list, so once the slab has
+/// grown to its high-water mark push/pop allocate nothing themselves. An
+/// action is moved out of its slot (and the slot freed) before it runs, so
+/// it may push new events freely.
 class EventQueue {
  public:
   using Action = std::function<void()>;
@@ -35,8 +40,8 @@ class EventQueue {
  private:
   struct Entry {
     Cycle when;
-    std::uint64_t seq;  // insertion order; breaks timestamp ties
-    Action action;
+    std::uint64_t seq;   // insertion order; breaks timestamp ties
+    std::uint32_t slot;  // index of the action in slab_
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -44,7 +49,9 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Entry> heap_;  // min-heap under Later
+  std::vector<Action> slab_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
 };
 

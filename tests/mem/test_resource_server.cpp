@@ -100,6 +100,22 @@ TEST(ResourceServer, UtilizationBounded) {
   EXPECT_LE(server.utilization(), 1.0);
 }
 
+TEST(ResourceServer, UtilizationCountsOnlyElapsedInFlightOccupancy) {
+  // 400 B at 4 B/cycle occupies the channel for cycles [0, 100). Read
+  // mid-transfer, only the 50 elapsed cycles count (it once read 2.0).
+  sim::Simulator sim;
+  ResourceServer server(sim, "chan", 4.0, 10);
+  const int port = server.add_port("p");
+  server.request(port, 400, nullptr);
+  double mid = -1.0;
+  sim.schedule(50, [&] { mid = server.utilization(); });
+  sim.run();
+  EXPECT_DOUBLE_EQ(mid, 1.0);
+  // Fully served: busy 100 of 110 elapsed cycles.
+  EXPECT_DOUBLE_EQ(server.utilization(), 100.0 / 110.0);
+  EXPECT_EQ(server.busy_cycles(), 100u);
+}
+
 TEST(ResourceServer, ZeroByteRequestStillCompletes) {
   sim::Simulator sim;
   ResourceServer server(sim, "chan", 8.0, 3);

@@ -1,8 +1,14 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.hpp"
 
 namespace edgemm::sim {
 namespace {
@@ -54,6 +60,96 @@ TEST(EventQueue, SizeTracksContents) {
   EXPECT_EQ(q.size(), 2u);
   q.pop_and_run();
   EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, RandomizedRunOrderMatchesSortedReference) {
+  // Pushes (some from inside running actions, many on shared
+  // timestamps) interleave with pops; the run order must equal a
+  // reference sorted by (when, insertion index). The interleaving keeps
+  // slab slots recycling throughout.
+  EventQueue q;
+  Rng rng(2024);
+  std::vector<std::pair<Cycle, int>> pushed;  // (when, insertion index)
+  std::vector<int> ran;
+  Cycle now = 0;
+  auto push = [&](Cycle when, auto&& self) -> void {
+    const int index = static_cast<int>(pushed.size());
+    pushed.emplace_back(when, index);
+    const bool spawns = rng.uniform_int(0, 3) == 0;
+    q.push(when, [&, index, spawns, self] {
+      ran.push_back(index);
+      if (spawns && pushed.size() < 20000) {
+        self(now + static_cast<Cycle>(rng.uniform_int(0, 2)), self);
+      }
+    });
+  };
+  for (int round = 0; round < 2000; ++round) {
+    const int pushes = static_cast<int>(rng.uniform_int(0, 4));
+    for (int i = 0; i < pushes; ++i) {
+      push(now + static_cast<Cycle>(rng.uniform_int(0, 8)), push);
+    }
+    const int pops = static_cast<int>(rng.uniform_int(0, 4));
+    for (int i = 0; i < pops && !q.empty(); ++i) {
+      now = q.next_time();
+      EXPECT_EQ(q.pop_and_run(), now);
+    }
+  }
+  while (!q.empty()) {
+    now = q.next_time();
+    q.pop_and_run();
+  }
+
+  // Pops only ever advance time and pushes never go into the past, so
+  // a global (when, index) sort is the exact expected run order.
+  std::vector<std::pair<Cycle, int>> reference = pushed;
+  std::sort(reference.begin(), reference.end());
+  ASSERT_EQ(ran.size(), reference.size());
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    ASSERT_EQ(ran[i], reference[i].second) << "position " << i;
+  }
+  EXPECT_GT(pushed.size(), 4000u);
+}
+
+TEST(EventQueue, HeavyCapturesAreDestroyedExactlyOnce) {
+  // A capture larger than std::function's inline buffer that counts its
+  // live instances. Each queued action holds exactly one; an action that
+  // ran (or whose slot was recycled) holds none; teardown of a non-empty
+  // queue releases the rest. A double destruction drives the count below
+  // the queue size, a leak keeps it above.
+  struct Counted {
+    int* live;
+    std::array<std::uint64_t, 4> payload{};
+    explicit Counted(int* l) : live(l) { ++*live; }
+    Counted(const Counted& other) : live(other.live), payload(other.payload) { ++*live; }
+    Counted(Counted&& other) noexcept : live(other.live), payload(other.payload) {
+      ++*live;
+    }
+    Counted& operator=(const Counted&) = delete;
+    Counted& operator=(Counted&&) = delete;
+    ~Counted() { --*live; }
+  };
+  int live = 0;
+  int fired = 0;
+  {
+    EventQueue q;
+    auto push = [&](Cycle when) {
+      q.push(when, [&fired, counted = Counted(&live)] {
+        (void)counted;
+        ++fired;
+      });
+    };
+    for (Cycle t = 0; t < 64; ++t) push(t % 8);
+    EXPECT_EQ(live, 64);
+    for (int i = 0; i < 40; ++i) {
+      const Cycle when = q.pop_and_run();
+      EXPECT_EQ(live, static_cast<int>(q.size()));
+      push(when + 3);
+      EXPECT_EQ(live, static_cast<int>(q.size()));
+    }
+    EXPECT_EQ(fired, 40);
+    EXPECT_EQ(q.size(), 64u);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace
