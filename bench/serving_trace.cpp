@@ -35,13 +35,13 @@
 //      single-engine §6 replay, near-linear replica tokens/s scaling at
 //      fixed traffic, and a disaggregated prefill/decode split whose KV
 //      migration bytes are exactly conserved on the chip-to-chip link.
-//   9. paged KV — whole-footprint reservation vs page-granular KV with
-//      CoW prefix sharing and DRAM swap at one equal byte budget:
-//      paged + prefix gated to sustain strictly more concurrent decodes
-//      (or equal throughput on fewer peak KV bytes), page ledgers gated
-//      exactly conserved, and a tight-budget row that completes the
-//      trace by paying DRAM re-fetches. §1–§8 replay with paged_kv off,
-//      so their numbers are untouched.
+//   9. paged KV — reserve-at-join (whole footprints) vs page-granular
+//      KV with CoW prefix sharing and DRAM swap at one equal byte
+//      budget: paged + prefix gated to sustain strictly more concurrent
+//      decodes (or equal throughput on fewer peak KV bytes), every
+//      row's page ledger gated exactly conserved, and a tight-budget
+//      row that completes the trace by paying DRAM re-fetches. §1–§8
+//      replay with paged_kv off, so their numbers are untouched.
 //  10. heterogeneous offload — the §6 long-prefill zoo trace on one
 //      EdgeMM + fat-GPU chip pair (fast tier), sweeping OffloadPolicy
 //      backend mixes: NoOffload with the GPU configured gated
@@ -888,7 +888,7 @@ int main(int argc, char** argv) {
 
   // --- 9. Paged KV: prefix sharing + DRAM swap at equal budget ------------
   // Three rows over ONE shared-prefix trace and ONE KV byte budget (fast
-  // tier). Whole-footprint reserves every request's final footprint up
+  // tier). Reserve-at-join charges every request's final footprint up
   // front; paged mode charges pages as tokens are generated, shares full
   // prefix pages copy-on-write across a conversation group, and preempts
   // cold requests to DRAM instead of deferring joins. The tight row
@@ -970,10 +970,11 @@ int main(int argc, char** argv) {
       paged_prefix.peak_decode_batch > whole_kv.peak_decode_batch ||
       (paged_prefix.tokens_per_second >= whole_kv.tokens_per_second &&
        paged_prefix.peak_kv_reserved_bytes < whole_kv.peak_kv_reserved_bytes);
-  // Gate (b): every paged row drains its ledger exactly and serves the
-  // whole trace.
+  // Gate (b): every row — reserve-at-join included, since it rides the
+  // same page ledger — drains its ledger exactly and serves the whole
+  // trace.
   bool paged_conservation_ok = true;
-  for (std::size_t i = 1; i < s9.outcomes.size(); ++i) {
+  for (std::size_t i = 0; i < s9.outcomes.size(); ++i) {
     const serve::ServingResult& r = s9.outcomes[i].result;
     paged_conservation_ok = paged_conservation_ok &&
                             r.completed == paged_cfg.requests &&
@@ -994,7 +995,7 @@ int main(int argc, char** argv) {
               "budget (peak batch %zu vs %zu): %s\n",
               paged_prefix.peak_decode_batch, whole_kv.peak_decode_batch,
               paged_concurrency_ok ? "yes" : "NO");
-  std::printf("page ledger exactly conserved on every paged row "
+  std::printf("page ledger exactly conserved on every row "
               "(alloc == freed > 0, all served): %s\n",
               paged_conservation_ok ? "yes" : "NO");
   std::printf("prefix sharing engaged (%zu attaches, %zu pages saved): "

@@ -1,9 +1,8 @@
-// Reserve/release byte ledger keyed by request id — the shared core of
-// KvCapacityTracker (decode-batch KV reservations) and
+// Reserve/release byte ledger keyed by id — the shared core of
+// KvPageAllocator (one hold per resident KV page) and
 // WeightResidencyTracker (prefill weight pins). One place owns the
-// overcommit, duplicate-hold and unknown-release invariants; the
-// trackers add their domain counters (deferrals / fallbacks, peak) on
-// top.
+// overcommit, duplicate-hold and unknown-release invariants; the owners
+// add their domain counters (deferrals / fallbacks, peak) on top.
 #ifndef EDGEMM_SERVE_BYTE_LEDGER_HPP
 #define EDGEMM_SERVE_BYTE_LEDGER_HPP
 

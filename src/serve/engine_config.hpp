@@ -84,19 +84,23 @@ class EngineConfig {
   /// single request's KV cache, so a meaningful budget must be chosen
   /// explicitly (see chip_kv_capacity's oversubscription parameter).
   EngineConfig& kv_capacity_bytes(Bytes bytes);
-  /// Page-granular KV accounting (default: false — the PR 2 whole-
-  /// footprint KvCapacityTracker, byte-identical to every prior PR).
-  /// When on (and a KV budget is set), the engine reserves only the
-  /// pages a request's PROMPT occupies at decode join and grows the
-  /// reservation one page per generated-token page boundary; when the
-  /// budget fills mid-decode it preempts the least-recently-grown
-  /// requests to DRAM and refills them (see KvPageAllocator). Requests
-  /// with the same (model, Request::prefix_id) share their prefix's full
-  /// pages copy-on-write. No effect without kv_capacity_bytes.
+  /// How the KvPageAllocator charges the KV budget; no effect without
+  /// kv_capacity_bytes. Off (default) is reserve-at-join: a request
+  /// reserves its whole final footprint (kv_footprint_bytes) when it
+  /// joins the decode batch — or at admission on a decode-only tier —
+  /// and a join that would overflow is deferred. Its pages are the gcd
+  /// of the served models' per-token KV bytes, so every decision is
+  /// byte-exact whatever kv_page_bytes says. On, the engine reserves
+  /// only the pages a request's PROMPT occupies at decode join and grows
+  /// the reservation one page per generated-token page boundary; when
+  /// the budget fills mid-decode it preempts the least-recently-grown
+  /// requests to DRAM and refills them. Requests with the same (model,
+  /// Request::prefix_id) share their prefix's full pages copy-on-write.
   EngineConfig& paged_kv(bool enabled);
-  /// KV page size for paged_kv (default kDefaultKvPageBytes = 64 KiB).
-  /// Throws std::invalid_argument on zero; validate() requires the KV
-  /// budget to hold at least one page.
+  /// KV page size for paged_kv (default kDefaultKvPageBytes = 64 KiB;
+  /// reserve-at-join sizes its own pages). Throws std::invalid_argument
+  /// on zero; validate() requires the KV budget to hold at least one
+  /// page under paged_kv.
   EngineConfig& kv_page_bytes(Bytes bytes);
   /// Byte budget for weight-resident chunk chaining (the
   /// WeightResidencyTracker's capacity); 0 (default) disables residency

@@ -1,29 +1,36 @@
 // Page-granular KV-cache allocation with copy-on-write prefix sharing
-// and an evict-to-DRAM swap tier.
+// and an evict-to-DRAM swap tier — the engine's one KV ledger.
 //
-// PR 2's KvCapacityTracker reserves each request's FULL final footprint
-// when it joins the decode batch, so most of the CIM budget is dead
-// reservation for tokens not generated yet. The KvPageAllocator replaces
-// that with fixed-size pages over the same byte budget (backed by the
-// same ByteLedger):
-//   - a request joining the decode batch reserves only the pages its
-//     PROMPT occupies; the reservation then grows one page at a time as
-//     generated tokens cross page boundaries (the engine's per-token
-//     growth pass);
-//   - requests with a common system/image prompt (Request::prefix_id)
-//     share the prefix's FULL pages under one refcounted run — the first
-//     attacher allocates and charges them once, later attachers ride for
-//     free. The boundary page (a partial page where the shared prefix
-//     ends and private tokens begin) is copy-on-write: each request
-//     copies it into its private page table at join, because its first
-//     divergent token writes into that page. Shared pages are freed
-//     exactly once, when the last holder releases;
-//   - when the CIM budget fills mid-decode, the engine preempts victim
-//     requests in lru_victim_order (least-recent page-table touch): ALL of a victim's private resident pages move to DRAM
-//     (swap-out releases their CIM bytes), and the re-fetch bytes are
-//     charged onto the ledger when the victim is refilled — preempt-and-
-//     refill instead of defer-at-join. A shared run whose last resident
-//     holder leaves swaps out with it.
+// Fixed-size pages over the KV byte budget, backed by a ByteLedger. The
+// engine drives it in one of two modes (EngineConfig::paged_kv):
+//   - reserve-at-join (paged_kv off): a joining request reserves its
+//     FULL final footprint in one try_join, with no prefix run, and
+//     releases it at retirement. The page size is the gcd of the served
+//     models' per-token KV bytes, so every footprint is a whole number
+//     of pages and each join/defer decision is the byte-exact one —
+//     but most of the budget is dead reservation for tokens not
+//     generated yet;
+//   - paged (paged_kv on), which reclaims that dead reservation:
+//       * a request joining the decode batch reserves only the pages
+//         its PROMPT occupies; the reservation then grows one page at a
+//         time as generated tokens cross page boundaries (the engine's
+//         per-token growth pass);
+//       * requests with a common system/image prompt (Request::prefix_id)
+//         share the prefix's FULL pages under one refcounted run — the
+//         first attacher allocates and charges them once, later
+//         attachers ride for free. The boundary page (a partial page
+//         where the shared prefix ends and private tokens begin) is
+//         copy-on-write: each request copies it into its private page
+//         table at join, because its first divergent token writes into
+//         that page. Shared pages are freed exactly once, when the last
+//         holder releases;
+//       * when the CIM budget fills mid-decode, the engine preempts
+//         victim requests in lru_victim_order (least-recent page-table
+//         touch): ALL of a victim's private resident pages move to DRAM
+//         (swap-out releases their CIM bytes), and the re-fetch bytes
+//         are charged onto the ledger when the victim is refilled —
+//         preempt-and-refill instead of defer-at-join. A shared run
+//         whose last resident holder leaves swaps out with it.
 //
 // Conservation is the contract, asserted after every mutation:
 //     pages_allocated() == resident_pages() + swapped_pages() + pages_freed()

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/statistics.hpp"
-#include "common/units.hpp"
 #include "core/pipeline.hpp"
 #include "model/workload.hpp"
 
@@ -37,11 +36,16 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     throw std::invalid_argument("ServingEngine: no models to serve");
   }
   if (engine_config_.kv_capacity() > 0) {
-    if (engine_config_.paged_kv()) {
-      pages_.emplace(engine_config_.kv_capacity(),
-                     engine_config_.kv_page_bytes());
-    } else {
-      kv_.emplace(engine_config_.kv_capacity());
+    // Reserve-at-join pages are the gcd of the models' per-token KV
+    // bytes: every whole footprint is then a whole number of pages, so
+    // each join/defer decision equals the byte-granular one.
+    kv_page_bytes_ = engine_config_.kv_page_bytes();
+    if (!engine_config_.paged_kv()) {
+      kv_page_bytes_ = 0;
+      for (const model::MllmConfig& m : models_) {
+        kv_page_bytes_ =
+            std::gcd(kv_page_bytes_, model::kv_bytes_per_token(m));
+      }
     }
   }
   if (engine_config_.weight_residency() > 0) {
@@ -163,24 +167,16 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     if (r.model >= models_.size()) {
       throw std::invalid_argument("ServingEngine::run: model index out of range");
     }
-    if (kv_) {
-      if (kv_footprint_bytes(r, models_[r.model]) > kv_->capacity()) {
-        throw std::invalid_argument(
-            "ServingEngine::run: request KV cache exceeds the KV capacity "
-            "budget (it could never join a decode batch)");
-      }
-    }
-    if (pages_) {
-      if (r.prefix_tokens > r.input_tokens) {
+    if (kv_page_bytes_ > 0) {
+      if (engine_config_.paged_kv() && r.prefix_tokens > r.input_tokens) {
         throw std::invalid_argument(
             "ServingEngine::run: prefix_tokens exceeds input_tokens");
       }
-      if (kv_page_footprint(r, models_[r.model],
-                            engine_config_.kv_page_bytes()) >
-          pages_->total_pages()) {
+      if (kv_footprint_pages(r) >
+          engine_config_.kv_capacity() / kv_page_bytes_) {
         throw std::invalid_argument(
-            "ServingEngine::run: request KV pages exceed the paged KV "
-            "budget (it could never grow to its last token)");
+            "ServingEngine::run: request KV cache exceeds the KV capacity "
+            "budget (it could never reach its last token)");
       }
     }
     if (!index_.emplace(r.id, records_.size()).second) {
@@ -189,8 +185,12 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     records_.push_back(RequestRecord{r});
   }
   total_ = records_.size();
-  if (pages_) kv_paging_.assign(total_, KvPagingState{});
-  if (kv_) kv_reserved_.assign(total_, 0);
+  if (kv_page_bytes_ > 0) {
+    // Built only now: a budget below one page fits no request, and the
+    // loop above already refused that trace.
+    pages_.emplace(engine_config_.kv_capacity(), kv_page_bytes_);
+    if (engine_config_.paged_kv()) kv_paging_.assign(total_, KvPagingState{});
+  }
 
   sim::Simulator& sim = local_.simulator();
   for (std::size_t i = 0; i < records_.size(); ++i) {
@@ -209,37 +209,7 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
 
   // --- Aggregate metrics ---------------------------------------------------
   ServingResult result;
-  result.completed = completed_;
-  result.rejected = rejected_;
-  Cycle first_arrival = records_.front().request.arrival;
-  Cycle last_finish = 0;
-  std::size_t total_tokens = 0;
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(completed_);
-  for (const RequestRecord& rec : records_) {
-    first_arrival = std::min(first_arrival, rec.request.arrival);
-    if (rec.request.deadline > 0) {
-      ++result.with_deadline;
-      if (rec.deadline_met()) ++result.slo_attained;
-    }
-    if (!rec.done) continue;
-    last_finish = std::max(last_finish, rec.finish);
-    total_tokens += rec.tokens_generated;
-    latencies_ms.push_back(rec.latency_ms(config_.clock_hz));
-  }
-  result.makespan = last_finish > first_arrival ? last_finish - first_arrival : 0;
-  result.makespan_ms = cycles_to_ms(result.makespan, config_.clock_hz);
-  result.p50_latency_ms = percentile(latencies_ms, 50.0);
-  result.p95_latency_ms = percentile(latencies_ms, 95.0);
-  result.p99_latency_ms = percentile(latencies_ms, 99.0);
-  double sum = 0.0;
-  for (const double v : latencies_ms) sum += v;
-  result.mean_latency_ms =
-      latencies_ms.empty() ? 0.0
-                           : sum / static_cast<double>(latencies_ms.size());
-  result.tokens_per_second =
-      static_cast<double>(total_tokens) /
-      cycles_to_seconds(std::max<Cycle>(result.makespan, 1), config_.clock_hz);
+  aggregate_records(records_, config_.clock_hz, result);
   result.dram_utilization = local_.memory_utilization();
   result.decode_steps = decode_steps_;
   result.mean_decode_batch =
@@ -248,22 +218,15 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
                         : 0.0;
   result.peak_queue_depth = peak_queue_depth_;
   result.rebalances = rebalances_;
-  result.slo_attainment =
-      result.with_deadline > 0
-          ? static_cast<double>(result.slo_attained) /
-                static_cast<double>(result.with_deadline)
-          : 1.0;
   result.prefill_jobs = local_.dispatched(Lane::kCcStage);
   result.max_cc_queue_delay_ms = cycles_to_ms(
       local_.max_queue_wait(Lane::kCcStage), config_.clock_hz);
-  result.kv_deferrals = kv_ ? kv_->deferrals() : 0;
   result.peak_decode_batch = peak_decode_batch_;
-  if (kv_) result.peak_kv_reserved_bytes = kv_->peak_reserved();
   if (pages_) {
-    // Drained-engine invariant, the page analogue of the pin-drain
-    // assert below: every page allocated over the replay was freed —
-    // none resident, none stranded in DRAM, no preempted request still
-    // awaiting refill.
+    // Drained-engine invariant for every KV budget, the page analogue
+    // of the pin-drain assert below: every page allocated over the
+    // replay was freed — none resident, none stranded in DRAM, no
+    // preempted request still awaiting refill.
     EDGEMM_ASSERT_MSG(pages_->holders() == 0 && pages_->resident_pages() == 0 &&
                           pages_->swapped_pages() == 0 && kv_swapped_.empty(),
                       "ServingEngine: KV pages leaked past the replay");
@@ -774,7 +737,7 @@ void ServingEngine::pump_admission() {
     if (verdict == AdmissionVerdict::kDefer) break;
     if (verdict == AdmissionVerdict::kAdmit &&
         engine_config_.phase() == EnginePhase::kDecodeOnly &&
-        (kv_ || pages_)) {
+        pages_) {
       // Hand-off reservation: the migrated KV's bytes are charged the
       // moment the decode tier accepts the request, so the decode batch
       // can never turn it away later. If it does not fit yet, the whole
@@ -1084,61 +1047,50 @@ void ServingEngine::on_prefill_done(std::size_t index) {
   if (local_.idle(Lane::kMcDecode)) start_decode_step();
 }
 
+std::size_t ServingEngine::kv_footprint_pages(const Request& r) const {
+  const model::MllmConfig& m = models_[r.model];
+  return engine_config_.paged_kv()
+             ? kv_page_footprint(r, m, kv_page_bytes_)
+             : static_cast<std::size_t>(kv_footprint_bytes(r, m) /
+                                        kv_page_bytes_);
+}
+
 bool ServingEngine::kv_join_reserve(std::size_t index) {
+  if (!pages_) return true;
   const Request& r = records_[index].request;
-  if (pages_) {
-    KvPagingState& st = kv_paging_[index];
-    if (st.joined) return true;  // hand-off reservation made at admission
-    const Bytes page_bytes = engine_config_.kv_page_bytes();
-    st.tokens_per_page = kv_tokens_per_page(models_[r.model], page_bytes);
-    st.shared_pages = kv_shared_prefix_pages(r, models_[r.model], page_bytes);
-    st.prefix =
-        st.shared_pages > 0 ? kv_prefix_key(r.model, r.prefix_id) : 0;
-    // Only the PROMPT's pages are reserved at join — the tail grows one
-    // page per generated-token page boundary (grow_page_tables). This
-    // is where paged mode's concurrency headroom comes from: a legacy
-    // join charges (input + output) tokens up front.
-    const std::size_t private_tokens =
-        r.input_tokens - st.shared_pages * st.tokens_per_page;
-    const std::size_t private_pages =
-        (private_tokens + st.tokens_per_page - 1) / st.tokens_per_page;
-    if (!pages_->try_join(r.id, private_pages, st.prefix, st.shared_pages)) {
-      return false;
-    }
-    // The prefix's partial boundary page cannot be shared — the
-    // request's first divergent token writes into it — so it was copied
-    // into the private table above: a CoW fork.
-    if (st.shared_pages > 0 &&
-        r.prefix_tokens % st.tokens_per_page != 0) {
-      ++kv_cow_forks_;
-    }
-    st.joined = true;
-    st.swapped = false;
-    st.last_touch = local_.simulator().now();
-    return true;
+  if (pages_->holds(r.id)) return true;  // hand-off reservation held
+  if (!engine_config_.paged_kv()) {
+    // Reserve-at-join: the whole final footprint, up front.
+    return pages_->try_join(r.id, kv_footprint_pages(r));
   }
-  if (kv_) {
-    if (kv_reserved_[index]) return true;  // hand-off reservation held
-    if (!kv_->try_reserve(r.id, kv_footprint_bytes(r, models_[r.model]))) {
-      return false;
-    }
-    kv_reserved_[index] = 1;
-    return true;
+  KvPagingState& st = kv_paging_[index];
+  st.tokens_per_page = kv_tokens_per_page(models_[r.model], kv_page_bytes_);
+  st.shared_pages =
+      kv_shared_prefix_pages(r, models_[r.model], kv_page_bytes_);
+  st.prefix = st.shared_pages > 0 ? kv_prefix_key(r.model, r.prefix_id) : 0;
+  // Only the PROMPT's pages are reserved at join — the tail grows one
+  // page per generated-token page boundary (grow_page_tables). This is
+  // where paged mode's concurrency headroom comes from: a reserve-at-
+  // join join charges (input + output) tokens up front.
+  const std::size_t private_tokens =
+      r.input_tokens - st.shared_pages * st.tokens_per_page;
+  const std::size_t private_pages =
+      (private_tokens + st.tokens_per_page - 1) / st.tokens_per_page;
+  if (!pages_->try_join(r.id, private_pages, st.prefix, st.shared_pages)) {
+    return false;
   }
+  // The prefix's partial boundary page cannot be shared — the request's
+  // first divergent token writes into it — so it was copied into the
+  // private table above: a CoW fork.
+  if (st.shared_pages > 0 && r.prefix_tokens % st.tokens_per_page != 0) {
+    ++kv_cow_forks_;
+  }
+  st.last_touch = local_.simulator().now();
   return true;
 }
 
 void ServingEngine::kv_release(std::size_t index) {
-  const RequestId id = records_[index].request.id;
-  if (pages_) {
-    pages_->release(id);
-    kv_paging_[index].joined = false;
-    return;
-  }
-  if (kv_) {
-    kv_->release(id);
-    kv_reserved_[index] = 0;
-  }
+  if (pages_) pages_->release(records_[index].request.id);
 }
 
 void ServingEngine::refill_swapped() {
@@ -1148,9 +1100,7 @@ void ServingEngine::refill_swapped() {
   while (!kv_swapped_.empty()) {
     const std::size_t index = kv_swapped_.front();
     if (!pages_->try_swap_in(records_[index].request.id)) break;
-    KvPagingState& st = kv_paging_[index];
-    st.swapped = false;
-    st.last_touch = local_.simulator().now();
+    kv_paging_[index].last_touch = local_.simulator().now();
     active_.push_back(index);
     kv_swapped_.erase(kv_swapped_.begin());
   }
@@ -1159,7 +1109,6 @@ void ServingEngine::refill_swapped() {
 void ServingEngine::preempt_to_dram(std::size_t active_pos) {
   const std::size_t index = active_[active_pos];
   pages_->swap_out(records_[index].request.id);
-  kv_paging_[index].swapped = true;
   active_.erase(active_.begin() +
                 static_cast<std::ptrdiff_t>(active_pos));
   kv_swapped_.push_back(index);
@@ -1224,8 +1173,9 @@ void ServingEngine::grow_page_tables() {
 void ServingEngine::start_decode_step() {
   // Preempt-and-refill: restore swapped-out requests before admitting
   // new joiners — they were already mid-decode when evicted.
+  const bool paged = pages_ && engine_config_.paged_kv();
   Bytes swap_dma = 0;
-  if (pages_) {
+  if (paged) {
     const Bytes refetch_before = pages_->swap_refetch_bytes();
     refill_swapped();
     // kv_swap_refill_dma: the refills' re-fetched bytes ride this step
@@ -1243,12 +1193,10 @@ void ServingEngine::start_decode_step() {
   for (auto it = decode_ready_.begin();
        it != decode_ready_.end() && joined < join;) {
     const std::size_t index = *it;
-    if (kv_ || pages_) {
-      if (!kv_join_reserve(index)) {
-        // Deferred join: stays decode-ready, retries next step boundary.
-        ++it;
-        continue;
-      }
+    if (!kv_join_reserve(index)) {
+      // Deferred join: stays decode-ready, retries next step boundary.
+      ++it;
+      continue;
     }
     active_.push_back(index);
     it = decode_ready_.erase(it);
@@ -1256,7 +1204,7 @@ void ServingEngine::start_decode_step() {
   }
   // Every active request writes one token this step — extend page tables
   // first (may preempt victims to DRAM when the budget is full).
-  if (pages_) grow_page_tables();
+  if (paged) grow_page_tables();
   if (active_.empty()) return;  // MC lane drains until new prefills land
 
   // One continuous-batching step: per served model, batch the weight-

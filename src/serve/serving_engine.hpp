@@ -11,8 +11,9 @@
 //     into one or more CC-lane jobs (chunked prefill bounds CC-lane
 //     head-of-line blocking);
 //   - a BatchPolicy orders the prefilled requests joining the decode
-//     batch at each step boundary, subject to the KvCapacityTracker's
-//     byte budget (joins that would overflow are deferred);
+//     batch at each step boundary, subject to the KvPageAllocator's KV
+//     budget (under reserve-at-join, joins that would overflow are
+//     deferred; under paged_kv, cold requests are preempted to DRAM);
 //   - a PlacementPolicy decides which models' weight pins to hold,
 //     acquire or evict against the shared residency budget (multi-model
 //     zoos: keep-warm idle pins, demand-weighted resident sets), with a
@@ -25,6 +26,7 @@
 #ifndef EDGEMM_SERVE_SERVING_ENGINE_HPP
 #define EDGEMM_SERVE_SERVING_ENGINE_HPP
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -32,6 +34,8 @@
 #include <vector>
 
 #include "baselines/gpu_backend.hpp"
+#include "common/statistics.hpp"
+#include "common/units.hpp"
 #include "core/bandwidth_manager.hpp"
 #include "core/chip.hpp"
 #include "core/config.hpp"
@@ -104,12 +108,15 @@ struct ServingResult {
   /// Weight bytes riders re-fetched because they dispatched before the
   /// pin owner's fill chunk retired (the fill barrier).
   Bytes rider_refetch_bytes = 0;
-  // --- Paged KV cache (paged_kv; all zero in whole-footprint mode) --------
-  std::size_t kv_pages_allocated = 0;  ///< cumulative page allocations
+  // --- KV page ledger (all zero without a KV budget) ----------------------
+  /// Cumulative page allocations (reserve-at-join: one whole footprint
+  /// per join; paged_kv: prompt pages, growth pages and refills).
+  std::size_t kv_pages_allocated = 0;
   /// == kv_pages_allocated once the trace drains (exact conservation).
   std::size_t kv_pages_freed = 0;
   /// Joins that rode an existing shared-prefix run instead of
-  /// allocating it again (requests sharing a Request::prefix_id).
+  /// allocating it again (requests sharing a Request::prefix_id; this
+  /// and the sharing/swap counters below stay 0 under reserve-at-join).
   std::size_t kv_shared_attaches = 0;
   std::size_t kv_shared_pages_saved = 0;  ///< pages those attaches skipped
   /// Partial boundary pages copied privately at join — the CoW fork of
@@ -122,7 +129,8 @@ struct ServingResult {
   /// Requests preempted wholesale to DRAM mid-decode (swap-outs).
   std::size_t kv_swap_preemptions = 0;
   /// High-water mark of the CIM KV budget actually reserved — whole-
-  /// footprint reservations (legacy) or resident pages (paged). The §9
+  /// footprint reservations (reserve-at-join) or resident pages
+  /// (paged_kv); both count resident pages x page bytes. The §9
   /// equal-budget comparison: paged mode either batches MORE requests or
   /// peaks LOWER here.
   Bytes peak_kv_reserved_bytes = 0;
@@ -218,14 +226,9 @@ class ServingEngine {
     return kv_return_link_ ? &*kv_return_link_ : nullptr;
   }
 
-  /// KV accounting ledger; nullptr when EngineConfig left it disabled
-  /// (or replaced it with the page allocator via paged_kv).
-  const KvCapacityTracker* kv_tracker() const {
-    return kv_ ? &*kv_ : nullptr;
-  }
-
-  /// Page-granular KV allocator; nullptr unless paged_kv is on with a
-  /// KV budget set.
+  /// The KV ledger (reserve-at-join or paged, per EngineConfig::
+  /// paged_kv); nullptr until run() starts, and always without a KV
+  /// budget.
   const KvPageAllocator* kv_pages() const {
     return pages_ ? &*pages_ : nullptr;
   }
@@ -290,16 +293,14 @@ class ServingEngine {
     std::uint8_t chunk0_target = 0;
   };
 
-  /// Per-request paged-KV state (parallel to records_; only used when
-  /// pages_ is live). The allocator owns the page counts; this caches
-  /// the token->page math and the swap bookkeeping the engine needs at
-  /// step boundaries.
+  /// Per-request paged-KV state (parallel to records_; only used under
+  /// paged_kv). The allocator owns the page counts and who holds pages;
+  /// this caches the token->page math and the recency signal the engine
+  /// needs at step boundaries.
   struct KvPagingState {
     std::size_t tokens_per_page = 1;
     KvPrefixKey prefix = 0;        ///< 0 = no shared run
     std::size_t shared_pages = 0;  ///< full prefix pages shared with the group
-    bool joined = false;           ///< holds pages (resident or swapped)
-    bool swapped = false;          ///< preempted to DRAM, awaiting refill
     Cycle last_touch = 0;          ///< join / page-append / refill cycle
   };
 
@@ -309,6 +310,9 @@ class ServingEngine {
   /// decode-only tier already made at admission (the KV hand-off).
   /// False = deferred (stays decode-ready / queued).
   bool kv_join_reserve(std::size_t index);
+  /// Pages `r` reserves over its whole life: its whole footprint under
+  /// reserve-at-join, kv_page_footprint under paged_kv.
+  std::size_t kv_footprint_pages(const Request& r) const;
   void kv_release(std::size_t index);
   /// Paged mode, step start: refills preempted requests from DRAM in
   /// strict preemption order (oldest first), re-joining them to active_.
@@ -382,7 +386,10 @@ class ServingEngine {
   /// Ledgered return wire for offloaded prefills' KV (ChipLink pricing,
   /// conservation-exact); engaged with fat_.
   std::optional<mem::ChipLink> kv_return_link_;
-  std::optional<KvCapacityTracker> kv_;
+  /// Page size of pages_: EngineConfig::kv_page_bytes under paged_kv,
+  /// else the gcd of the served models' per-token KV bytes (0 without
+  /// a KV budget).
+  Bytes kv_page_bytes_ = 0;
   std::optional<KvPageAllocator> pages_;
   std::optional<WeightResidencyTracker> residency_;
 
@@ -396,9 +403,6 @@ class ServingEngine {
   /// sit out decode steps until refill_swapped restores their pages.
   std::vector<std::size_t> kv_swapped_;
   std::vector<KvPagingState> kv_paging_;    ///< by record index (paged mode)
-  /// Legacy-tracker reservation flags by record index: set at join (or
-  /// at admission on a decode-only tier), cleared at release.
-  std::vector<std::uint8_t> kv_reserved_;
   /// Per-token decode traffic model per served MllmConfig, probed at
   /// construction. One decode step of a batch with contexts c_i costs
   /// shared + sum_i (request + kv_slope * c_i): `shared` is the weight
@@ -473,6 +477,52 @@ class ServingEngine {
   std::vector<double> cc_bytes_per_cycle_est_;
   std::vector<double> decode_step_cycles_est_;
 };
+
+/// Fills the trace-level aggregates ServingResult and ClusterResult
+/// share — completed / rejected counts, makespan, latency percentiles,
+/// tokens/s and SLO attainment — from per-request records. One set of
+/// formulas, so a 1-chip cluster's numbers are bit-identical to the
+/// single engine's.
+template <typename Result>
+void aggregate_records(const std::vector<RequestRecord>& records,
+                       double clock_hz, Result& result) {
+  Cycle first_arrival = records.front().request.arrival;
+  Cycle last_finish = 0;
+  std::size_t total_tokens = 0;
+  std::vector<double> latencies_ms;
+  for (const RequestRecord& rec : records) {
+    first_arrival = std::min(first_arrival, rec.request.arrival);
+    if (rec.rejected) ++result.rejected;
+    if (rec.request.deadline > 0) {
+      ++result.with_deadline;
+      if (rec.deadline_met()) ++result.slo_attained;
+    }
+    if (!rec.done) continue;
+    ++result.completed;
+    last_finish = std::max(last_finish, rec.finish);
+    total_tokens += rec.tokens_generated;
+    latencies_ms.push_back(rec.latency_ms(clock_hz));
+  }
+  result.makespan =
+      last_finish > first_arrival ? last_finish - first_arrival : 0;
+  result.makespan_ms = cycles_to_ms(result.makespan, clock_hz);
+  result.p50_latency_ms = percentile(latencies_ms, 50.0);
+  result.p95_latency_ms = percentile(latencies_ms, 95.0);
+  result.p99_latency_ms = percentile(latencies_ms, 99.0);
+  double sum = 0.0;
+  for (const double v : latencies_ms) sum += v;
+  result.mean_latency_ms =
+      latencies_ms.empty() ? 0.0
+                           : sum / static_cast<double>(latencies_ms.size());
+  result.tokens_per_second =
+      static_cast<double>(total_tokens) /
+      cycles_to_seconds(std::max<Cycle>(result.makespan, 1), clock_hz);
+  result.slo_attainment =
+      result.with_deadline > 0
+          ? static_cast<double>(result.slo_attained) /
+                static_cast<double>(result.with_deadline)
+          : 1.0;
+}
 
 /// Result + records of a one-shot replay (replay_trace below).
 struct ReplayOutcome {

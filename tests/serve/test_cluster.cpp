@@ -323,7 +323,7 @@ TEST(Cluster, HandoffReservationConservesKvBytesUnderBackpressure) {
   // Decode-tier KV budget below the concurrent hand-off demand: the
   // reservation made at admission (the hand-off charge) must defer
   // later arrivals instead of overcommitting, and every byte must drain
-  // by the end — on the link AND in the decode chips' trackers.
+  // by the end — on the link AND in the decode chips' KV ledgers.
   const auto models = two_models();
   const auto trace = zoo_trace(12);
   Bytes max_footprint = 0;
@@ -340,7 +340,7 @@ TEST(Cluster, HandoffReservationConservesKvBytesUnderBackpressure) {
   // Link conservation: everything sent has landed by the drain probe.
   EXPECT_EQ(out.result.kv_bytes_in_flight, 0u);
   EXPECT_EQ(out.result.kv_bytes_sent, out.result.kv_migration_bytes);
-  // Chip 1 is the lone decode chip: its tracker was the contended one.
+  // Chip 1 is the lone decode chip: its ledger was the contended one.
   ASSERT_EQ(out.result.per_chip.size(), 2u);
   EXPECT_GT(out.result.per_chip[1].kv_deferrals, 0u);  // backpressure, not rejects
   EXPECT_GT(out.result.per_chip[1].peak_kv_reserved_bytes, 0u);

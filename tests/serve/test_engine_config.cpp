@@ -125,7 +125,7 @@ TEST(EngineConfig, SettersValidateEagerly) {
 
 TEST(EngineConfig, PagedKvDefaultsKeepLegacyAccounting) {
   const EngineConfig config;
-  EXPECT_FALSE(config.paged_kv());  // whole-footprint tracker by default
+  EXPECT_FALSE(config.paged_kv());  // reserve-at-join by default
   EXPECT_EQ(config.kv_page_bytes(), kDefaultKvPageBytes);
 }
 

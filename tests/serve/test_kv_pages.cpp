@@ -394,8 +394,6 @@ TEST(PagedServing, ReplayDrainsEveryPageAndConservesTheLedger) {
   EXPECT_EQ(result.kv_pages_allocated, result.kv_pages_freed);
   EXPECT_GT(result.peak_kv_reserved_bytes, 0u);
   EXPECT_TRUE(engine.kv_pages()->conserved());
-  // Legacy tracker is not built in paged mode.
-  EXPECT_EQ(engine.kv_tracker(), nullptr);
 }
 
 TEST(PagedServing, GrowPerTokenPeaksNoHigherThanWholeFootprints) {
@@ -421,7 +419,7 @@ TEST(PagedServing, GrowPerTokenPeaksNoHigherThanWholeFootprints) {
 TEST(PagedServing, PrefixSharingSustainsMoreConcurrencyAtEqualBudget) {
   // Two conversation turns over one 64-token shared prefix, 8 output
   // tokens each. Whole footprint: 72 tokens = 18 pages per request; the
-  // 20-page budget fits only ONE whole footprint, so the legacy tracker
+  // 20-page budget fits only ONE whole footprint, so reserve-at-join
   // serializes. Paged + sharing: 16 shared pages + two 2-page private
   // tails = 20 pages — both decode together.
   const std::vector<Request> trace = {req(0, 64, 8, 1, 64),
@@ -521,8 +519,8 @@ TEST(PagedServing, LegacyModeIsTheDefaultAndStaysByteIdentical) {
   EXPECT_FALSE(untouched.paged_kv());  // paging is strictly opt-in
   const auto baseline = replay_trace(small_cfg(), {tiny_model()},
                                      std::move(untouched), trace);
-  // Explicit paged_kv(false) routes through the same KvCapacityTracker
-  // and must replay bit-for-bit, whatever the other paged knobs say.
+  // Explicit paged_kv(false) is the same reserve-at-join path and must
+  // replay bit-for-bit, whatever the other paged knobs say.
   EngineConfig legacy = fast_config()
                             .kv_capacity_bytes(budget)
                             .paged_kv(false)
@@ -534,8 +532,11 @@ TEST(PagedServing, LegacyModeIsTheDefaultAndStaysByteIdentical) {
   for (std::size_t i = 0; i < baseline.records.size(); ++i) {
     EXPECT_TRUE(baseline.records[i] == explicit_off.records[i]);
   }
-  EXPECT_GT(baseline.result.kv_deferrals + 1, 0u);  // tracker path exercised
-  EXPECT_EQ(baseline.result.kv_pages_allocated, 0u);  // no paging counters
+  EXPECT_GT(baseline.result.kv_deferrals + 1, 0u);  // ledger path exercised
+  // Whole footprints ride the same page ledger, drained exactly.
+  EXPECT_GT(baseline.result.kv_pages_allocated, 0u);
+  EXPECT_EQ(baseline.result.kv_pages_allocated,
+            baseline.result.kv_pages_freed);
 }
 
 TEST(PagedServing, GenerousBudgetMatchesLegacyScheduleExactly) {

@@ -9,90 +9,6 @@
 namespace edgemm::serve {
 namespace {
 
-TEST(KvCapacityTracker, ValidatesCapacity) {
-  EXPECT_THROW(KvCapacityTracker(0), std::invalid_argument);
-}
-
-TEST(KvCapacityTracker, ReservesExactlyToCapacity) {
-  KvCapacityTracker tracker(1000);
-  EXPECT_TRUE(tracker.try_reserve(1, 600));
-  EXPECT_EQ(tracker.reserved(), 600u);
-  EXPECT_EQ(tracker.available(), 400u);
-  // Filling the budget to exactly capacity succeeds.
-  EXPECT_TRUE(tracker.try_reserve(2, 400));
-  EXPECT_EQ(tracker.reserved(), 1000u);
-  EXPECT_EQ(tracker.available(), 0u);
-  EXPECT_EQ(tracker.holders(), 2u);
-  EXPECT_EQ(tracker.deferrals(), 0u);
-}
-
-TEST(KvCapacityTracker, OneByteOverDefers) {
-  KvCapacityTracker tracker(1000);
-  EXPECT_TRUE(tracker.try_reserve(1, 1000));
-  EXPECT_FALSE(tracker.try_reserve(2, 1));  // one byte over
-  EXPECT_EQ(tracker.deferrals(), 1u);
-  EXPECT_EQ(tracker.holders(), 1u);
-  EXPECT_EQ(tracker.reserved(), 1000u);
-
-  KvCapacityTracker fresh(1000);
-  EXPECT_FALSE(fresh.try_reserve(1, 1001));  // single oversized request
-  EXPECT_EQ(fresh.deferrals(), 1u);
-  // Zero-byte reservations are fine even at a full budget.
-  EXPECT_TRUE(fresh.try_reserve(2, 1000));
-  EXPECT_TRUE(fresh.try_reserve(3, 0));
-}
-
-TEST(KvCapacityTracker, ReleaseMakesRoomAgain) {
-  KvCapacityTracker tracker(1000);
-  EXPECT_TRUE(tracker.try_reserve(1, 700));
-  EXPECT_FALSE(tracker.try_reserve(2, 500));
-  tracker.release(1);
-  EXPECT_EQ(tracker.reserved(), 0u);
-  EXPECT_TRUE(tracker.try_reserve(2, 500));
-  EXPECT_EQ(tracker.holders(), 1u);
-}
-
-TEST(KvCapacityTracker, RejectsDuplicateAndUnknownIds) {
-  KvCapacityTracker tracker(1000);
-  EXPECT_TRUE(tracker.try_reserve(1, 100));
-  EXPECT_THROW(tracker.try_reserve(1, 100), std::logic_error);
-  EXPECT_THROW(tracker.release(2), std::logic_error);
-  tracker.release(1);
-  EXPECT_THROW(tracker.release(1), std::logic_error);
-}
-
-TEST(KvCapacityTracker, HoldsIsKeyedByIdNotByBytes) {
-  // The hand-off reservation on a decode tier is looked up by id at
-  // join time: holds() must answer for exactly the ids that reserved,
-  // independent of how many bytes each one charged.
-  KvCapacityTracker tracker(1000);
-  EXPECT_FALSE(tracker.holds(1));
-  EXPECT_TRUE(tracker.try_reserve(1, 600));
-  EXPECT_TRUE(tracker.try_reserve(2, 0));  // zero-byte reservation still held
-  EXPECT_TRUE(tracker.holds(1));
-  EXPECT_FALSE(tracker.holds(2));  // held_by(2) == 0 bytes reads as absent
-  EXPECT_FALSE(tracker.holds(3));
-  tracker.release(1);
-  EXPECT_FALSE(tracker.holds(1));
-}
-
-TEST(KvCapacityTracker, PeakReservedIsAHighWaterMark) {
-  KvCapacityTracker tracker(1000);
-  EXPECT_EQ(tracker.peak_reserved(), 0u);
-  EXPECT_TRUE(tracker.try_reserve(1, 300));
-  EXPECT_TRUE(tracker.try_reserve(2, 400));
-  EXPECT_EQ(tracker.peak_reserved(), 700u);
-  tracker.release(1);
-  EXPECT_EQ(tracker.reserved(), 400u);
-  EXPECT_EQ(tracker.peak_reserved(), 700u);  // the mark never recedes
-  // A failed reservation moves nothing, so the peak stays put ...
-  EXPECT_FALSE(tracker.try_reserve(3, 700));
-  EXPECT_EQ(tracker.peak_reserved(), 700u);
-  // ... and a smaller success past the old mark advances it.
-  EXPECT_TRUE(tracker.try_reserve(4, 350));
-  EXPECT_EQ(tracker.peak_reserved(), 750u);
-}
-
 TEST(ChipKvCapacity, ScalesWithMcClustersAndOversubscription) {
   const core::ChipConfig cfg = core::default_chip_config();
   const Bytes base = chip_kv_capacity(cfg);
