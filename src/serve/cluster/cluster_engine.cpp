@@ -287,9 +287,4 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
   return out;
 }
 
-bool cluster_outcomes_identical(const ClusterOutcome& a,
-                                const ClusterOutcome& b) {
-  return a.result == b.result && a.records == b.records;
-}
-
 }  // namespace edgemm::serve

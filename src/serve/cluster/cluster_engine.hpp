@@ -111,6 +111,10 @@ struct ClusterResult {
 struct ClusterOutcome {
   ClusterResult result;
   std::vector<RequestRecord> records;
+
+  /// Exact: the result (every per-chip result included) and every
+  /// merged record.
+  bool operator==(const ClusterOutcome&) const = default;
 };
 
 /// Replays `requests` across a cluster of `cluster.chips()` chips, each
@@ -123,11 +127,6 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
                            const EngineConfig& engine,
                            const ClusterConfig& cluster,
                            std::vector<Request> requests);
-
-/// Outcome equality: result plus every merged record (exact, including
-/// the floating-point metrics and every per-chip result).
-bool cluster_outcomes_identical(const ClusterOutcome& a,
-                                const ClusterOutcome& b);
 
 }  // namespace edgemm::serve
 

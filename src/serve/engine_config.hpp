@@ -189,16 +189,8 @@ class EngineConfig {
     return fat_backend_;
   }
   const OffloadPolicy& offload_policy() const { return *offload_; }
-  /// The shared_ptr itself (cluster plumbing re-composes configs).
-  const std::shared_ptr<const OffloadPolicy>& offload_policy_ptr() const {
-    return offload_;
-  }
   bool kv_swap_refill_dma() const { return kv_swap_refill_dma_; }
   const QualityPolicy& quality() const { return *quality_; }
-  /// The shared_ptr itself (cluster plumbing re-composes configs).
-  const std::shared_ptr<const QualityPolicy>& quality_policy_ptr() const {
-    return quality_;
-  }
   double quality_min_keep() const { return quality_min_keep_; }
   double quality_max_keep() const { return quality_max_keep_; }
 

@@ -147,10 +147,6 @@ void ServingEngine::set_completion_callback(CompletionCallback callback) {
   on_complete_ = std::move(callback);
 }
 
-Bytes ServingEngine::cc_job_bytes(const std::vector<GemmWork>& ops) const {
-  return local_.estimated_job_bytes(Lane::kCcStage, ops);
-}
-
 ServingResult ServingEngine::run(std::vector<Request> requests) {
   if (ran_) {
     throw std::logic_error("ServingEngine::run: engine instances are one-shot");
@@ -206,22 +202,21 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   sim.run();
   EDGEMM_ASSERT_MSG(completed_ + rejected_ == total_,
                     "ServingEngine: trace replay left unfinished requests");
+  // Every admitted chunk's bytes left the CC backlog exactly once.
+  EDGEMM_ASSERT_MSG(cc_pending_bytes_ == 0.0 && cc_pending_full_bytes_ == 0.0,
+                    "ServingEngine: CC backlog did not drain to zero");
 
   // --- Aggregate metrics ---------------------------------------------------
-  ServingResult result;
+  ServingResult& result = result_;
   aggregate_records(records_, config_.clock_hz, result);
   result.dram_utilization = local_.memory_utilization();
-  result.decode_steps = decode_steps_;
   result.mean_decode_batch =
-      decode_steps_ > 0 ? static_cast<double>(batch_occupancy_sum_) /
-                              static_cast<double>(decode_steps_)
-                        : 0.0;
-  result.peak_queue_depth = peak_queue_depth_;
-  result.rebalances = rebalances_;
+      result.decode_steps > 0 ? static_cast<double>(batch_occupancy_sum_) /
+                                    static_cast<double>(result.decode_steps)
+                              : 0.0;
   result.prefill_jobs = local_.dispatched(Lane::kCcStage);
   result.max_cc_queue_delay_ms = cycles_to_ms(
       local_.max_queue_wait(Lane::kCcStage), config_.clock_hz);
-  result.peak_decode_batch = peak_decode_batch_;
   if (pages_) {
     // Drained-engine invariant for every KV budget, the page analogue
     // of the pin-drain assert below: every page allocated over the
@@ -235,17 +230,12 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.kv_pages_freed = pages_->pages_freed();
     result.kv_shared_attaches = pages_->shared_attaches();
     result.kv_shared_pages_saved = pages_->shared_pages_saved();
-    result.kv_cow_forks = kv_cow_forks_;
     result.kv_pages_swapped_out = pages_->pages_swapped_out();
     result.kv_pages_swapped_in = pages_->pages_swapped_in();
     result.kv_swap_refetch_bytes = pages_->swap_refetch_bytes();
     result.kv_swap_preemptions = pages_->preemptions();
     result.peak_kv_reserved_bytes = pages_->peak_resident_bytes();
   }
-  result.cc_weight_fetch_bytes = cc_weight_fetched_;
-  result.cc_weight_bytes_saved = cc_weight_saved_;
-  result.rider_refetch_bytes = rider_refetch_bytes_;
-  result.placement_denials = placement_denials_;
   if (residency_) {
     // Pins kept warm by the placement policy legitimately outlive their
     // last rider; flush them now that the trace is drained, THEN assert
@@ -262,8 +252,6 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.weight_warm_attaches = residency_->warm_attaches();
     result.peak_pinned_bytes = residency_->peak_pinned();
   }
-  result.offloaded_requests = offloaded_requests_;
-  result.offloaded_chunks = offloaded_chunks_;
   if (fat_) {
     result.fat_bytes_moved = fat_->bytes_moved();
     result.fat_kernel_launches = fat_->kernel_launches();
@@ -286,15 +274,11 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.kv_return_max_queue_ms =
         cycles_to_ms(kv_return_link_->max_queue_wait(), config_.clock_hz);
   }
-  result.kv_swap_dma_bytes = kv_swap_dma_bytes_;
   // Quality ledger: what the QualityPolicy cost. The accuracy proxy is
   // priced per COMPLETED request at the fraction it finished at (memoized
   // per (model, fraction) — zero proxy evaluations when nothing was ever
   // degraded, since keep >= the static fraction prices as exact under
   // keep >= 1 or reuses the decode-side derivation's agreement).
-  result.quality_downgrades = quality_downgrades_;
-  result.quality_restores = quality_restores_;
-  result.tokens_at_degraded_quality = tokens_degraded_;
   {
     double acc_sum = 0.0;
     double acc_min = 1.0;
@@ -363,7 +347,7 @@ void ServingEngine::on_arrival(std::size_t index) {
   refresh_decayed_demand();
   queue_.push(records_[index].request);
   ++queued_per_model_[records_[index].request.model];
-  peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
+  result_.peak_queue_depth = std::max(result_.peak_queue_depth, queue_.size());
   pump_admission();
 }
 
@@ -387,37 +371,36 @@ ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
   PrefillPlan plan;
   plan.chunk_tokens = chunk_tokens;
   plan.built_keep = prefill_keep(index);
+  plan.jobs.resize(chunk_tokens.size());
+  plan.job_bytes.resize(chunk_tokens.size());
+  plan.job_full_bytes.resize(chunk_tokens.size());
   for (std::size_t c = 0; c < chunk_tokens.size(); ++c) {
-    std::vector<GemmWork> ops =
-        build_chunk_ops(r, plan, c, /*ride_pin=*/true, plan.built_keep);
-    const Bytes bytes = cc_job_bytes(ops);
-    const Bytes full =
-        plan.built_keep < 1.0
-            ? cc_job_bytes(build_chunk_ops(r, plan, c, /*ride_pin=*/true, 1.0))
-            : bytes;
-    plan.jobs.push_back(std::move(ops));
-    plan.job_bytes.push_back(bytes);
-    plan.job_full_bytes.push_back(full);
-    plan.total_bytes += bytes;
-    plan.total_full_bytes += full;
+    price_chunk(index, plan, c);
   }
   return plans_.emplace(index, std::move(plan)).first->second;
 }
 
-void ServingEngine::rebuild_chunk(std::size_t index, PrefillPlan& plan,
-                                  std::size_t chunk) {
+void ServingEngine::price_chunk(std::size_t index, PrefillPlan& plan,
+                                std::size_t chunk, bool ride_pin) {
   const Request& r = records_[index].request;
   std::vector<GemmWork> ops =
-      build_chunk_ops(r, plan, chunk, /*ride_pin=*/true, plan.built_keep);
-  const Bytes bytes = cc_job_bytes(ops);
-  const Bytes full =
-      plan.built_keep < 1.0
-          ? cc_job_bytes(build_chunk_ops(r, plan, chunk, /*ride_pin=*/true, 1.0))
-          : bytes;
-  plan.total_bytes -= plan.job_bytes[chunk];
-  plan.total_bytes += bytes;
-  plan.total_full_bytes -= plan.job_full_bytes[chunk];
-  plan.total_full_bytes += full;
+      build_chunk_ops(r, plan, chunk, ride_pin, plan.built_keep);
+  const Bytes bytes = local_.estimated_job_bytes(Lane::kCcStage, ops);
+  const Bytes full = plan.built_keep < 1.0
+                         ? local_.estimated_job_bytes(
+                               Lane::kCcStage,
+                               build_chunk_ops(r, plan, chunk, ride_pin, 1.0))
+                         : bytes;
+  if (plan.pending) {
+    // Whole byte counts far below 2^53: these per-chunk deltas sum to
+    // exactly the doubles one whole-plan delta would.
+    cc_pending_bytes_ += static_cast<double>(bytes) -
+                         static_cast<double>(plan.job_bytes[chunk]);
+    cc_pending_full_bytes_ += static_cast<double>(full) -
+                              static_cast<double>(plan.job_full_bytes[chunk]);
+  }
+  plan.total_bytes += bytes - plan.job_bytes[chunk];
+  plan.total_full_bytes += full - plan.job_full_bytes[chunk];
   plan.jobs[chunk] = std::move(ops);
   plan.job_bytes[chunk] = bytes;
   plan.job_full_bytes[chunk] = full;
@@ -487,8 +470,8 @@ void ServingEngine::apply_quality(std::size_t index, double served) {
   const double base = keep_fraction_[rec.request.model];
   const bool was_degraded = rec.keep_fraction_served < base;
   const bool now_degraded = served < base;
-  if (!was_degraded && now_degraded) ++quality_downgrades_;
-  if (was_degraded && !now_degraded) ++quality_restores_;
+  if (!was_degraded && now_degraded) ++result_.quality_downgrades;
+  if (was_degraded && !now_degraded) ++result_.quality_restores;
   rec.keep_fraction_served = served;
   const auto it = plans_.find(index);
   if (it == plans_.end()) return;  // decode-only tier: no prefill to reshape
@@ -497,10 +480,9 @@ void ServingEngine::apply_quality(std::size_t index, double served) {
   if (plan.built_keep == want) return;
   plan.built_keep = want;
   // Reshape only the unsubmitted tail; in-flight and retired chunks
-  // already streamed at their judged fraction. Callers own the
-  // cc-pending delta (the plan's bytes may not be pending yet).
+  // already streamed at their judged fraction.
   for (std::size_t c = plan.next; c < plan.jobs.size(); ++c) {
-    rebuild_chunk(index, plan, c);
+    price_chunk(index, plan, c);
   }
 }
 
@@ -571,11 +553,11 @@ PlacementContext ServingEngine::placement_context() const {
   return ctx;
 }
 
-bool ServingEngine::maybe_pin_weights(std::size_t index,
+void ServingEngine::maybe_pin_weights(std::size_t index,
                                       std::size_t next_chunk) {
-  if (!residency_) return false;
+  if (!residency_) return;
   PrefillPlan& plan = plans_.at(index);
-  if (plan.pin_attached) return false;  // already riding a pin
+  if (plan.pin_attached) return;  // already riding a pin
   const Request& r = records_[index].request;
   // The pin is keyed by MODEL: all in-flight requests of the model
   // refcount one pin and the budget is charged once.
@@ -588,36 +570,33 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   const bool rides_existing = residency_->resident_layers(key) > 0;
   const std::size_t first_resident =
       rides_existing ? next_chunk : next_chunk + 1;
-  if (first_resident >= plan.jobs.size()) return false;
+  if (first_resident >= plan.jobs.size()) return;
   std::size_t max_attach = models_[r.model].llm.layers;
   if (!rides_existing) {
     // Residency-aware placement guards every budget-charging attach
     // (riders are never guarded: sharing resident bytes is free). A
     // denied model keeps re-fetching; an allowed one under budget
     // pressure may first reclaim idle kept-warm pins of colder models.
+    // The policy also sizes the grant: whole-set policies ask for every
+    // layer group, fractional placement grants the k hottest groups that
+    // fit and leaves the rest of the budget to colder models (a zero
+    // grant is a denial).
     refresh_decayed_demand();
     const PlacementContext ctx = placement_context();
-    if (!engine_config_.placement().may_acquire(r.model, ctx)) {
+    max_attach =
+        engine_config_.placement().may_acquire(r.model, ctx)
+            ? std::min(
+                  engine_config_.placement().acquire_target_layers(r.model, ctx),
+                  max_attach)
+            : 0;
+    if (max_attach == 0) {
       // One count per denied REQUEST, not per retry: the late-pin seam
       // re-asks at every remaining chunk.
       if (!plan.placement_denied) {
         plan.placement_denied = true;
-        ++placement_denials_;
+        ++result_.placement_denials;
       }
-      return false;
-    }
-    // The policy also sizes the grant: whole-set policies ask for every
-    // layer group, fractional placement grants the k hottest groups that
-    // fit and leaves the rest of the budget to colder models.
-    max_attach = std::min(
-        engine_config_.placement().acquire_target_layers(r.model, ctx),
-        models_[r.model].llm.layers);
-    if (max_attach == 0) {
-      if (!plan.placement_denied) {
-        plan.placement_denied = true;
-        ++placement_denials_;
-      }
-      return false;
+      return;
     }
     const Bytes want =
         static_cast<Bytes>(max_attach) * layer_weight_bytes_[r.model];
@@ -635,7 +614,7 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   }
   const auto attach = residency_->attach_layers(
       key, layer_weight_bytes_[r.model], max_attach);
-  if (attach.layers == 0) return false;  // budget contended: keep re-fetching
+  if (attach.layers == 0) return;  // budget contended: keep re-fetching
   plan.pin_attached = true;
   plan.pin_key = key;
   plan.pin_owner = !attach.shared;
@@ -643,17 +622,16 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   plan.resident_layers = attach.layers;
   plan.first_resident_chunk = first_resident;
   records_[index].weight_pinned_layers = attach.layers;
-  // Rebuild the unsubmitted tail: pinned layer groups drop their weight
-  // stream, so the jobs (and the CC backlog accounting) shrink. A
-  // degraded request also rebuilds the not-yet-submitted fill chunk
-  // itself: its pinned layers must stream FULL weights (that is what
-  // lands in the pin), which the pre-pin jobs pruned.
-  const std::size_t rebuild_from =
+  // Re-price the unsubmitted tail: pinned layer groups drop their weight
+  // stream, so the jobs (and the CC backlog) shrink. A degraded request
+  // also re-prices the not-yet-submitted fill chunk itself: its pinned
+  // layers must stream FULL weights (that is what lands in the pin),
+  // which the pre-pin jobs pruned.
+  const std::size_t reprice_from =
       plan.built_keep < 1.0 ? next_chunk : first_resident;
-  for (std::size_t c = rebuild_from; c < plan.jobs.size(); ++c) {
-    rebuild_chunk(index, plan, c);
+  for (std::size_t c = reprice_from; c < plan.jobs.size(); ++c) {
+    price_chunk(index, plan, c);
   }
-  return true;
 }
 
 void ServingEngine::drop_plan(std::size_t index) {
@@ -786,9 +764,8 @@ void ServingEngine::pump_admission() {
     // that re-streams weights per launch. Without a fat backend the
     // judgment is kLocal without consulting the policy (byte-identical
     // to the pre-seam engine).
-    plan.chunk0_target =
-        judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat ? 2 : 1;
-    if (plan.chunk0_target != 2) {
+    plan.chunk0_fat = judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat;
+    if (!plan.chunk0_fat) {
       // Weight-resident chunk chaining: attach to the model's shared pin
       // (its weights are already on chip — every chunk rides), or pin the
       // layer groups fresh before chunk 0 fetches them so chunks 1.. skip
@@ -797,6 +774,7 @@ void ServingEngine::pump_admission() {
     }
     cc_pending_bytes_ += static_cast<double>(plan.total_bytes);
     cc_pending_full_bytes_ += static_cast<double>(plan.total_full_bytes);
+    plan.pending = true;
     submit_next_chunk(index);
   }
 }
@@ -805,19 +783,8 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   PrefillPlan& plan = plans_.at(index);
   // Per-chunk quality re-judgment: pressure may have moved since the
   // last chunk, and the chunk about to be submitted should stream at
-  // the CURRENT fraction. The plan's bytes are already in the CC
-  // backlog, so this call owns the pending-accumulator deltas.
-  {
-    const double served = judge_quality(index);
-    if (served != records_[index].keep_fraction_served) {
-      const double before = static_cast<double>(plan.total_bytes);
-      const double before_full = static_cast<double>(plan.total_full_bytes);
-      apply_quality(index, served);
-      cc_pending_bytes_ += static_cast<double>(plan.total_bytes) - before;
-      cc_pending_full_bytes_ +=
-          static_cast<double>(plan.total_full_bytes) - before_full;
-    }
-  }
+  // the CURRENT fraction.
+  apply_quality(index, judge_quality(index));
   const std::size_t chunk = plan.next++;
   const bool first = chunk == 0;
   // Backend judgment: chunk 0 consumes its admission-time verdict (made
@@ -828,7 +795,7 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   // there, not in the GPU's GDDR.
   bool to_fat = false;
   if (fat_) {
-    to_fat = first ? plan.chunk0_target == 2
+    to_fat = first ? plan.chunk0_fat
                    : judge_offload(index, chunk) == OffloadTarget::kFat;
     if (plan.pin_attached) to_fat = false;
   }
@@ -840,26 +807,20 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   // from chunk 1 on. Requests that offloaded any chunk never pin: their
   // prefill straddles backends, and holding TCDM bytes for a request
   // that may leave again wastes the budget co-tenants want.
-  if (chunk > 0 && residency_ && !plan.pin_attached && !to_fat &&
-      plan.offloaded_chunks == 0) {
-    const Bytes before = plan.total_bytes;
-    const Bytes before_full = plan.total_full_bytes;
-    if (maybe_pin_weights(index, chunk)) {
-      cc_pending_bytes_ -= static_cast<double>(before - plan.total_bytes);
-      cc_pending_full_bytes_ -=
-          static_cast<double>(before_full - plan.total_full_bytes);
-    }
+  if (chunk > 0 && !to_fat && plan.offloaded_chunks == 0) {
+    maybe_pin_weights(index, chunk);
   }
   // Fill barrier: a rider chunk dispatched before the pin owner's fill
   // fetch retired would skip DMA for bytes that are not on chip yet. It
   // re-fetches the WHOLE pin instead (this chunk only — the rider's
   // later chunks ride normally once the fill lands), so the re-fetch is
-  // exactly the pinned weight bytes the planned job skipped. Under the serial-FIFO CC lane the owner's fill is enqueued
-  // before any rider can attach, so it retires before any rider
-  // re-fetch does: no finer landing granularity could shrink the
-  // re-fetch. Pin owners are exempt by construction: their chunks after
-  // the fill chunk are ordered behind it on the same request.
-  if (residency_ && plan.pin_attached && !plan.pin_owner &&
+  // exactly the pinned weight bytes the planned job skipped. Under the
+  // serial-FIFO CC lane the owner's fill is enqueued before any rider
+  // can attach, so it retires before any rider re-fetch does: no finer
+  // landing granularity could shrink the re-fetch. Pin owners are exempt
+  // by construction: their chunks after the fill chunk are ordered
+  // behind it on the same request.
+  if (plan.pin_attached && !plan.pin_owner &&
       chunk >= plan.first_resident_chunk &&
       !residency_->filled(plan.pin_key)) {
     Bytes refetch = 0;
@@ -869,25 +830,8 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
       }
     }
     if (refetch > 0) {
-      rider_refetch_bytes_ += refetch;
-      std::vector<GemmWork> ops =
-          build_chunk_ops(records_[index].request, plan, chunk,
-                          /*ride_pin=*/false, plan.built_keep);
-      const Bytes bytes = cc_job_bytes(ops);
-      const Bytes full =
-          plan.built_keep < 1.0
-              ? cc_job_bytes(build_chunk_ops(records_[index].request, plan,
-                                             chunk, /*ride_pin=*/false, 1.0))
-              : bytes;
-      cc_pending_bytes_ += static_cast<double>(bytes - plan.job_bytes[chunk]);
-      cc_pending_full_bytes_ += static_cast<double>(full) -
-                                static_cast<double>(plan.job_full_bytes[chunk]);
-      plan.total_bytes += bytes - plan.job_bytes[chunk];
-      plan.total_full_bytes -= plan.job_full_bytes[chunk];
-      plan.total_full_bytes += full;
-      plan.job_full_bytes[chunk] = full;
-      plan.jobs[chunk] = std::move(ops);
-      plan.job_bytes[chunk] = bytes;
+      result_.rider_refetch_bytes += refetch;
+      price_chunk(index, plan, chunk, /*ride_pin=*/false);
     }
   }
   if (to_fat) {
@@ -904,29 +848,21 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
         fat_->estimated_job_bytes(Lane::kCcStage, plan.jobs[chunk]);
     ++plan.offloaded_chunks;
     plan.offload_tokens += plan.chunk_tokens[chunk];
-    ++offloaded_chunks_;
-    if (plan.offloaded_chunks == 1) ++offloaded_requests_;
+    ++result_.offloaded_chunks;
+    if (plan.offloaded_chunks == 1) ++result_.offloaded_requests;
     records_[index].offloaded_chunks = plan.offloaded_chunks;
-    fat_->submit(
-        Lane::kCcStage, std::move(plan.jobs[chunk]),
-        [this, index] { on_chunk_done(index); },
-        [this, index, first] {
-          const Cycle now = local_.simulator().now();
-          plans_.at(index).chunk_started = now;
-          if (first) records_[index].prefill_start = now;
-        });
-    return;
-  }
-  // Weight-traffic ledger (KV-stream ops carry context, not weights,
-  // and are excluded): resident ops are the DMA residency avoided.
-  for (const GemmWork& op : plan.jobs[chunk]) {
-    if (op.weight_elem_bytes_override != 0) continue;
-    const Bytes bytes =
-        static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
-    if (op.weights_resident) {
-      cc_weight_saved_ += bytes;
-    } else {
-      cc_weight_fetched_ += bytes;
+  } else {
+    // Weight-traffic ledger (KV-stream ops carry context, not weights,
+    // and are excluded): resident ops are the DMA residency avoided.
+    for (const GemmWork& op : plan.jobs[chunk]) {
+      if (op.weight_elem_bytes_override != 0) continue;
+      const Bytes bytes =
+          static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
+      if (op.weights_resident) {
+        result_.cc_weight_bytes_saved += bytes;
+      } else {
+        result_.cc_weight_fetch_bytes += bytes;
+      }
     }
   }
   // Only a request actually holding a pin (fresh or shared) gets an
@@ -935,10 +871,12 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   // REQUEST even when the pin is shared — chaining all of a model's
   // riders back-to-back would serialize the lane. (Inert unless the
   // planner enabled lane chaining; the +1 keeps request id 0 distinct
-  // from "none".)
+  // from "none"; a fat chunk never holds a pin.)
   const std::uint64_t affinity =
       plan.pin_attached ? records_[index].request.id + 1 : 0;
-  local_.submit(
+  core::ExecutionBackend& backend =
+      to_fat ? static_cast<core::ExecutionBackend&>(*fat_) : local_;
+  backend.submit(
       Lane::kCcStage, std::move(plan.jobs[chunk]),
       [this, index] { on_chunk_done(index); },
       [this, index, first] {
@@ -1022,22 +960,12 @@ void ServingEngine::on_chunk_done(std::size_t index) {
 }
 
 void ServingEngine::on_prefill_done(std::size_t index) {
-  RequestRecord& rec = records_[index];
-  rec.prefill_end = local_.simulator().now();
+  records_[index].prefill_end = local_.simulator().now();
   if (engine_config_.phase() == EnginePhase::kPrefillOnly) {
     // Disaggregated prefill tier: this chip's job ends here — the KV
     // cache ships to a decode chip, so the request retires with its
     // finish at prefill end and zero tokens generated locally.
-    refresh_decayed_demand();
-    rec.finish = rec.prefill_end;
-    rec.done = true;
-    if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
-      ++slo_misses_;
-    }
-    ++completed_;
-    --inflight_;
-    --inflight_per_model_[rec.request.model];
-    if (on_complete_) on_complete_(rec);
+    retire(index);
     pump_admission();  // the retired prefill freed admission slots
     return;
   }
@@ -1083,14 +1011,10 @@ bool ServingEngine::kv_join_reserve(std::size_t index) {
   // first divergent token writes into it — so it was copied into the
   // private table above: a CoW fork.
   if (st.shared_pages > 0 && r.prefix_tokens % st.tokens_per_page != 0) {
-    ++kv_cow_forks_;
+    ++result_.kv_cow_forks;
   }
   st.last_touch = local_.simulator().now();
   return true;
-}
-
-void ServingEngine::kv_release(std::size_t index) {
-  if (pages_) pages_->release(records_[index].request.id);
 }
 
 void ServingEngine::refill_swapped() {
@@ -1240,13 +1164,14 @@ void ServingEngine::start_decode_step() {
     step.push_back(GemmWork{
         1, std::max<std::size_t>(static_cast<std::size_t>(swap_dma / 4), 1), 1,
         Phase::kDecode, false, 2, false});
-    kv_swap_dma_bytes_ += swap_dma;
+    result_.kv_swap_dma_bytes += swap_dma;
   }
   step = model::aggregate_ops(step);
 
-  ++decode_steps_;
+  ++result_.decode_steps;
   batch_occupancy_sum_ += active_.size();
-  peak_decode_batch_ = std::max(peak_decode_batch_, active_.size());
+  result_.peak_decode_batch =
+      std::max(result_.peak_decode_batch, active_.size());
   step_started_ = local_.simulator().now();
   local_.submit(Lane::kMcDecode, std::move(step),
                     [this] { on_decode_step_done(); });
@@ -1279,27 +1204,18 @@ void ServingEngine::on_decode_step_done() {
           kEstimatorGain * share;
     }
   }
-  refresh_decayed_demand();
   std::vector<std::size_t> still_active;
   still_active.reserve(active_.size());
   for (const std::size_t index : active_) {
     RequestRecord& rec = records_[index];
     ++rec.tokens_generated;
     if (rec.keep_fraction_served < keep_fraction_[rec.request.model]) {
-      ++tokens_degraded_;
+      ++result_.tokens_at_degraded_quality;
     }
     if (rec.tokens_generated == 1) rec.first_token = now;
     if (rec.tokens_generated >= rec.request.output_tokens) {
-      rec.finish = now;
-      rec.done = true;
-      if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
-        ++slo_misses_;
-      }
-      ++completed_;
-      --inflight_;
-      --inflight_per_model_[rec.request.model];
-      kv_release(index);
-      if (on_complete_) on_complete_(rec);
+      if (pages_) pages_->release(rec.request.id);
+      retire(index);
     } else {
       still_active.push_back(index);
     }
@@ -1307,6 +1223,20 @@ void ServingEngine::on_decode_step_done() {
   active_ = std::move(still_active);
   pump_admission();   // retired requests freed admission slots
   start_decode_step();  // survivors + any newly prefilled joiners
+}
+
+void ServingEngine::retire(std::size_t index) {
+  refresh_decayed_demand();  // before the live counts drop
+  RequestRecord& rec = records_[index];
+  rec.finish = local_.simulator().now();
+  rec.done = true;
+  if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
+    ++slo_misses_;
+  }
+  ++completed_;
+  --inflight_;
+  --inflight_per_model_[rec.request.model];
+  if (on_complete_) on_complete_(rec);
 }
 
 void ServingEngine::schedule_rebalance(Cycle interval) {
@@ -1356,7 +1286,7 @@ void ServingEngine::rebalance() {
         max_ratio);
   }
   local_.apply_bandwidth_ratio(ratio);
-  ++rebalances_;
+  ++result_.rebalances;
 }
 
 ReplayOutcome replay_trace(const core::ChipConfig& config,

@@ -214,18 +214,6 @@ class ServingEngine {
   /// The local (EdgeMM) execution backend behind the seam.
   const core::EdgeMmBackend& local_backend() const { return local_; }
 
-  /// The paired fat backend; nullptr unless EngineConfig::fat_backend
-  /// was set.
-  const baselines::GpuBackend* fat_backend() const {
-    return fat_ ? &*fat_ : nullptr;
-  }
-
-  /// The KV return link of the heterogeneous pair; nullptr without a
-  /// fat backend.
-  const mem::ChipLink* kv_return_link() const {
-    return kv_return_link_ ? &*kv_return_link_ : nullptr;
-  }
-
   /// The KV ledger (reserve-at-join or paged, per EngineConfig::
   /// paged_kv); nullptr until run() starts, and always without a KV
   /// budget.
@@ -263,8 +251,11 @@ class ServingEngine {
     /// whenever the plan is built undegraded).
     std::vector<Bytes> job_full_bytes;
     Bytes total_full_bytes = 0;
+    /// Admission added the totals to the CC backlog: from then on every
+    /// re-pricing also moves the cc_pending accumulators by its delta.
+    bool pending = false;
     /// The prefill ffn_keep the jobs were last built at (1.0 = full
-    /// shapes); a quality re-judgment rebuilds unsubmitted jobs when the
+    /// shapes); a quality re-judgment re-prices unsubmitted jobs when the
     /// effective prefill keep moves.
     double built_keep = 1.0;
     std::size_t next = 0;
@@ -288,9 +279,9 @@ class ServingEngine {
     std::size_t offload_tokens = 0;    ///< their prefill tokens (KV to ship)
     bool current_fat = false;          ///< the in-flight chunk is on fat
     Bytes current_fat_bytes = 0;       ///< its fat-cost-model job bytes
-    /// Chunk 0's judgment, made at admission so pinning can be skipped
-    /// for offloaded starts: 0 = unjudged, 1 = local, 2 = fat.
-    std::uint8_t chunk0_target = 0;
+    /// Chunk 0's offload judgment, made at admission so pinning can be
+    /// skipped for offloaded starts.
+    bool chunk0_fat = false;
   };
 
   /// Per-request paged-KV state (parallel to records_; only used under
@@ -313,7 +304,6 @@ class ServingEngine {
   /// Pages `r` reserves over its whole life: its whole footprint under
   /// reserve-at-join, kv_page_footprint under paged_kv.
   std::size_t kv_footprint_pages(const Request& r) const;
-  void kv_release(std::size_t index);
   /// Paged mode, step start: refills preempted requests from DRAM in
   /// strict preemption order (oldest first), re-joining them to active_.
   void refill_swapped();
@@ -349,13 +339,15 @@ class ServingEngine {
   /// widened to include the static fraction).
   double judge_quality(std::size_t index);
   /// Adopts a judged fraction: ledgers the downgrade/restore transition
-  /// and rebuilds the plan's unsubmitted jobs when the effective prefill
-  /// keep moved. Does NOT touch the cc-pending accumulators — callers
-  /// own that (the plan's bytes may or may not be pending yet).
+  /// and re-prices the plan's unsubmitted jobs when the effective
+  /// prefill keep moved.
   void apply_quality(std::size_t index, double served);
-  /// Rebuilds one unsubmitted job of `index`'s plan at the current
-  /// prefill keep, updating job/full byte arrays and plan totals.
-  void rebuild_chunk(std::size_t index, PrefillPlan& plan, std::size_t chunk);
+  /// The one chunk re-pricer: builds `chunk` of `index`'s plan at
+  /// plan.built_keep (`ride_pin` as build_chunk_ops), prices it and its
+  /// full-keep twin, and patches the job/full byte arrays, the plan
+  /// totals and — once the plan is pending — the CC backlog.
+  void price_chunk(std::size_t index, PrefillPlan& plan, std::size_t chunk,
+                   bool ride_pin = true);
   /// Memoized task-proxy agreement at (model, keep) — the quality
   /// ledger's accuracy pricing.
   double accuracy_for(std::size_t model, double keep);
@@ -364,15 +356,17 @@ class ServingEngine {
   /// Consults the OffloadPolicy for one chunk of `index`'s plan; always
   /// kLocal without a fat backend (the policy is never even called).
   OffloadTarget judge_offload(std::size_t index, std::size_t chunk);
-  bool maybe_pin_weights(std::size_t index, std::size_t next_chunk);
+  void maybe_pin_weights(std::size_t index, std::size_t next_chunk);
   void submit_next_chunk(std::size_t index);
   void on_chunk_done(std::size_t index);
   void on_prefill_done(std::size_t index);
+  /// Completion bookkeeping of a finished request (a prefill-only tier's
+  /// at prefill end, a full engine's at its last token).
+  void retire(std::size_t index);
   void start_decode_step();
   void on_decode_step_done();
   void schedule_rebalance(Cycle interval);
   void rebalance();
-  Bytes cc_job_bytes(const std::vector<core::GemmWork>& ops) const;
 
   core::ChipConfig config_;
   std::vector<model::MllmConfig> models_;
@@ -433,8 +427,7 @@ class ServingEngine {
   /// placement policies opt in to reading it.
   std::vector<double> demand_decayed_;
   Cycle demand_decayed_at_ = 0;  ///< sim time of the last EWMA refresh
-  std::size_t placement_denials_ = 0;
-  double cc_pending_bytes_ = 0.0;
+  double cc_pending_bytes_ = 0.0;  ///< admitted CC bytes not yet retired
   /// Full-precision-equivalent twin of cc_pending_bytes_: what the same
   /// backlog would weigh undegraded. Queue-delay and service estimates
   /// divide THESE by the (full-equivalent) throughput estimators, so a
@@ -442,30 +435,15 @@ class ServingEngine {
   /// admission math; cc_pending_bytes_ (actual) keeps feeding the
   /// CC:MC bandwidth rebalance. Identical while nothing is degraded.
   double cc_pending_full_bytes_ = 0.0;
-  // --- Quality ledger (see ServingResult) ---------------------------------
-  std::size_t quality_downgrades_ = 0;
-  std::size_t quality_restores_ = 0;
-  std::size_t tokens_degraded_ = 0;
   /// Finished requests that missed their deadline so far (QualityContext
   /// pressure signal).
   std::size_t slo_misses_ = 0;
   /// accuracy_for memo: (model index, quantized keep) -> agreement.
   std::unordered_map<std::uint64_t, double> accuracy_memo_;
-  Bytes cc_weight_fetched_ = 0;  ///< weight DMA issued by submitted CC jobs
-  Bytes cc_weight_saved_ = 0;    ///< weight DMA avoided via residency
-  Bytes rider_refetch_bytes_ = 0;  ///< barrier re-fetches (subset of fetched)
-  std::size_t offloaded_requests_ = 0;  ///< requests with any fat chunk
-  std::size_t offloaded_chunks_ = 0;    ///< fat-backend prefill chunks
-  Bytes kv_swap_dma_bytes_ = 0;  ///< refill bytes injected as MC DMA ops
   /// Fat-backend throughput EWMA (its cost-model bytes per cycle),
   /// seeded from the spec's peak bandwidth; feeds OffloadContext.
   double fat_bytes_per_cycle_est_ = 0.0;
-  std::size_t decode_steps_ = 0;
   std::size_t batch_occupancy_sum_ = 0;
-  std::size_t peak_decode_batch_ = 0;
-  std::size_t kv_cow_forks_ = 0;
-  std::size_t peak_queue_depth_ = 0;
-  std::size_t rebalances_ = 0;
   Cycle step_started_ = 0;
   /// Online estimators feeding AdmissionContext, PER MODEL so a heavy
   /// co-tenant's measurements never inflate a light model's
@@ -476,6 +454,7 @@ class ServingEngine {
   /// byte-identical to the former engine-global scalars.
   std::vector<double> cc_bytes_per_cycle_est_;
   std::vector<double> decode_step_cycles_est_;
+  ServingResult result_;  ///< the run's counters, kept in place
 };
 
 /// Fills the trace-level aggregates ServingResult and ClusterResult
@@ -528,6 +507,9 @@ void aggregate_records(const std::vector<RequestRecord>& records,
 struct ReplayOutcome {
   ServingResult result;
   std::vector<RequestRecord> records;
+
+  /// Exact: the result and every record.
+  bool operator==(const ReplayOutcome&) const = default;
 };
 
 /// Constructs an engine on a fresh chip, replays `requests`, and returns
