@@ -11,6 +11,7 @@
 #define EDGEMM_PRUNING_TASK_PROXY_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/activation_gen.hpp"
@@ -36,7 +37,29 @@ struct TaskProxyResult {
   std::size_t decisions = 0;             ///< total (layer, token) samples
 };
 
-/// Runs the proxy over every (stable) layer of `gen`.
+/// One query of a multi-query proxy pass: an activation source and the
+/// pruning levels to price on it.
+struct TaskProxyQuery {
+  const model::ActivationGenerator* gen = nullptr;
+  std::vector<double> fixed_ratios;
+  /// Also run the dynamic Top-k path; without it agreement_dynamic and
+  /// mean_pruning_ratio read 0.
+  bool dynamic = true;
+};
+
+/// Prices every query in one streamed pass; results align with
+/// `queries` (config.fixed_ratios is not read). The proxy weights depend
+/// only on `config` and the channel count, so queries with the same
+/// channel count share one weight stream: each up/gate/down row is drawn
+/// once and added into every (query, pruning level) accumulator, and the
+/// gated MLP is never materialized. Each result is bit-identical to a
+/// pass over that query alone. Throws std::invalid_argument for a null
+/// generator, a zero d_ffn / answer_classes or a ratio outside [0, 1].
+std::vector<TaskProxyResult> evaluate_task_proxy(
+    std::span<const TaskProxyQuery> queries, const TaskProxyConfig& config);
+
+/// Runs the proxy over every (stable) layer of `gen`: the one-query
+/// pass with config.fixed_ratios and the dynamic path.
 TaskProxyResult evaluate_task_proxy(const model::ActivationGenerator& gen,
                                     const TaskProxyConfig& config);
 

@@ -21,6 +21,23 @@ std::uint64_t name_hash(const std::string& name) {
   return h;
 }
 
+/// The task proxy's activation source for `model`: its profile capped to
+/// the options' proxy caps, seeded per model name. derive_keep_fraction
+/// and the quality ledger both price this one proxy.
+model::ActivationGenerator proxy_generator(
+    const model::MllmConfig& model, const TaskProxyPruningOptions& options) {
+  if (options.max_proxy_channels == 0 || options.max_proxy_layers == 0) {
+    throw std::invalid_argument(
+        "TaskProxyPruningOptions: proxy caps must be > 0");
+  }
+  model::ActivationProfile profile;
+  profile.channels = std::min(model.llm.d_model, options.max_proxy_channels);
+  profile.layers = std::max<std::size_t>(
+      std::min(model.llm.layers, options.max_proxy_layers), 2);
+  return model::ActivationGenerator(profile,
+                                    options.proxy.seed ^ name_hash(model.name));
+}
+
 }  // namespace
 
 double derive_keep_fraction(const model::MllmConfig& model,
@@ -33,17 +50,7 @@ double derive_keep_fraction(const model::MllmConfig& model,
     throw std::invalid_argument(
         "derive_keep_fraction: min_keep_fraction must be in (0, 1]");
   }
-  if (options.max_proxy_channels == 0 || options.max_proxy_layers == 0) {
-    throw std::invalid_argument(
-        "derive_keep_fraction: proxy caps must be > 0");
-  }
-
-  model::ActivationProfile profile;
-  profile.channels = std::min(model.llm.d_model, options.max_proxy_channels);
-  profile.layers = std::max<std::size_t>(
-      std::min(model.llm.layers, options.max_proxy_layers), 2);
-  const model::ActivationGenerator gen(
-      profile, options.proxy.seed ^ name_hash(model.name));
+  const model::ActivationGenerator gen = proxy_generator(model, options);
   const pruning::TaskProxyResult result =
       pruning::evaluate_task_proxy(gen, options.proxy);
 
@@ -63,32 +70,52 @@ double derive_keep_fraction(const model::MllmConfig& model,
   return std::clamp(keep, options.min_keep_fraction, 1.0);
 }
 
+std::vector<double> quality_accuracy_proxy(
+    std::span<const model::MllmConfig> models,
+    std::span<const KeepPricing> pairs,
+    const TaskProxyPruningOptions& options) {
+  std::vector<double> accuracy(pairs.size(), 1.0);
+  // One query per model with a pruned pair; query_of[m] indexes it.
+  std::vector<std::size_t> query_of(models.size(), pairs.size());
+  std::vector<model::ActivationGenerator> gens;
+  std::vector<pruning::TaskProxyQuery> queries;
+  gens.reserve(models.size());  // queries point into gens
+  for (const KeepPricing& pair : pairs) {
+    if (!(pair.keep_fraction > 0.0)) {
+      throw std::invalid_argument(
+          "quality_accuracy_proxy: keep_fraction must be positive");
+    }
+    if (pair.model >= models.size()) {
+      throw std::invalid_argument(
+          "quality_accuracy_proxy: model index out of range");
+    }
+    if (pair.keep_fraction >= 1.0) continue;  // no pruning, agreement exact
+    std::size_t& q = query_of[pair.model];
+    if (q == pairs.size()) {
+      q = queries.size();
+      gens.push_back(proxy_generator(models[pair.model], options));
+      queries.push_back({&gens.back(), {}, /*dynamic=*/false});
+    }
+    queries[q].fixed_ratios.push_back(1.0 - pair.keep_fraction);
+  }
+  if (queries.empty()) return accuracy;
+
+  const std::vector<pruning::TaskProxyResult> results =
+      pruning::evaluate_task_proxy(queries, options.proxy);
+  std::vector<std::size_t> next_ratio(queries.size(), 0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pairs[i].keep_fraction >= 1.0) continue;
+    const std::size_t q = query_of[pairs[i].model];
+    accuracy[i] = results[q].agreement_fixed[next_ratio[q]++];
+  }
+  return accuracy;
+}
+
 double quality_accuracy_proxy(const model::MllmConfig& model,
                               double keep_fraction,
                               const TaskProxyPruningOptions& options) {
-  if (!(keep_fraction > 0.0)) {
-    throw std::invalid_argument(
-        "quality_accuracy_proxy: keep_fraction must be positive");
-  }
-  if (keep_fraction >= 1.0) return 1.0;  // no pruning, agreement exact
-  if (options.max_proxy_channels == 0 || options.max_proxy_layers == 0) {
-    throw std::invalid_argument(
-        "quality_accuracy_proxy: proxy caps must be > 0");
-  }
-
-  // Same capped profile and per-model seed as derive_keep_fraction, so
-  // the static derivation and the quality ledger price the same proxy.
-  model::ActivationProfile profile;
-  profile.channels = std::min(model.llm.d_model, options.max_proxy_channels);
-  profile.layers = std::max<std::size_t>(
-      std::min(model.llm.layers, options.max_proxy_layers), 2);
-  const model::ActivationGenerator gen(
-      profile, options.proxy.seed ^ name_hash(model.name));
-  pruning::TaskProxyConfig proxy = options.proxy;
-  proxy.fixed_ratios = {1.0 - keep_fraction};
-  const pruning::TaskProxyResult result =
-      pruning::evaluate_task_proxy(gen, proxy);
-  return result.agreement_fixed[0];
+  const KeepPricing pair{0, keep_fraction};
+  return quality_accuracy_proxy({&model, 1}, {&pair, 1}, options).front();
 }
 
 EngineConfig::EngineConfig()

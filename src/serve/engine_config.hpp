@@ -12,6 +12,8 @@
 
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "baselines/gpu_model.hpp"
 #include "core/fast_replay.hpp"
@@ -54,10 +56,27 @@ double derive_keep_fraction(const model::MllmConfig& model,
 /// activation profile derive_keep_fraction uses). keep_fraction >= 1 is
 /// exactly 1.0 (no pruning, no proxy run). Deterministic per
 /// (model name, keep_fraction, options); throws std::invalid_argument
-/// for a non-positive or > 1 fraction.
+/// for a non-positive fraction.
 double quality_accuracy_proxy(const model::MllmConfig& model,
                               double keep_fraction,
                               const TaskProxyPruningOptions& options = {});
+
+/// One (model index, keep fraction) pair to price.
+struct KeepPricing {
+  std::size_t model = 0;
+  double keep_fraction = 1.0;
+};
+
+/// Prices many pairs in one streamed task-proxy pass: one query per
+/// model, so models with the same capped channel count draw each proxy
+/// weight row once. Element i equals
+/// quality_accuracy_proxy(models[pairs[i].model], pairs[i].keep_fraction,
+/// options) exactly. Throws std::invalid_argument for a non-positive
+/// fraction or a model index out of range.
+std::vector<double> quality_accuracy_proxy(
+    std::span<const model::MllmConfig> models,
+    std::span<const KeepPricing> pairs,
+    const TaskProxyPruningOptions& options = {});
 
 // EnginePhase lives in serve/policy.hpp (included above) so
 // OffloadContext can carry it; every EngineConfig user still sees it.

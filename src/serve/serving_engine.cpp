@@ -274,28 +274,48 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.kv_return_max_queue_ms =
         cycles_to_ms(kv_return_link_->max_queue_wait(), config_.clock_hz);
   }
-  // Quality ledger: what the QualityPolicy cost. The accuracy proxy is
-  // priced per COMPLETED request at the fraction it finished at (memoized
-  // per (model, fraction) — zero proxy evaluations when nothing was ever
-  // degraded, since keep >= the static fraction prices as exact under
-  // keep >= 1 or reuses the decode-side derivation's agreement).
-  {
-    double acc_sum = 0.0;
-    double acc_min = 1.0;
-    std::size_t done_count = 0;
-    for (const RequestRecord& rec : records_) {
-      if (!rec.done) continue;
-      const double acc =
-          accuracy_for(rec.request.model, rec.keep_fraction_served);
-      acc_sum += acc;
-      acc_min = std::min(acc_min, acc);
-      ++done_count;
-    }
-    result.accuracy_proxy_mean =
-        done_count > 0 ? acc_sum / static_cast<double>(done_count) : 1.0;
-    result.accuracy_proxy_min = done_count > 0 ? acc_min : 1.0;
-  }
+  price_accuracy(result);
   return result;
+}
+
+// Quality ledger: what the QualityPolicy cost. The accuracy proxy is
+// priced per COMPLETED request at the fraction it finished at. Each
+// distinct (model, quantized keep < 1) pair is priced once, at the keep
+// of its first record, and all pairs share one streamed proxy pass —
+// none at all when nothing was ever pruned.
+void ServingEngine::price_accuracy(ServingResult& result) const {
+  std::unordered_map<std::uint64_t, std::size_t> pair_of;
+  std::vector<KeepPricing> pairs;
+  std::vector<std::size_t> priced_at(records_.size(), 0);
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const RequestRecord& rec = records_[i];
+    if (!rec.done || rec.keep_fraction_served >= 1.0) continue;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(rec.request.model) << 32) ^
+        static_cast<std::uint64_t>(
+            std::llround(rec.keep_fraction_served * 1048576.0));
+    const auto [it, fresh] = pair_of.emplace(key, pairs.size());
+    if (fresh) pairs.push_back({rec.request.model, rec.keep_fraction_served});
+    priced_at[i] = it->second;
+  }
+  const std::vector<double> priced = quality_accuracy_proxy(
+      models_, pairs,
+      engine_config_.task_proxy_pruning().value_or(TaskProxyPruningOptions{}));
+  double acc_sum = 0.0;
+  double acc_min = 1.0;
+  std::size_t done_count = 0;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const RequestRecord& rec = records_[i];
+    if (!rec.done) continue;
+    const double acc =
+        rec.keep_fraction_served >= 1.0 ? 1.0 : priced[priced_at[i]];
+    acc_sum += acc;
+    acc_min = std::min(acc_min, acc);
+    ++done_count;
+  }
+  result.accuracy_proxy_mean =
+      done_count > 0 ? acc_sum / static_cast<double>(done_count) : 1.0;
+  result.accuracy_proxy_min = done_count > 0 ? acc_min : 1.0;
 }
 
 OffloadTarget ServingEngine::judge_offload(std::size_t index,
@@ -484,21 +504,6 @@ void ServingEngine::apply_quality(std::size_t index, double served) {
   for (std::size_t c = plan.next; c < plan.jobs.size(); ++c) {
     price_chunk(index, plan, c);
   }
-}
-
-double ServingEngine::accuracy_for(std::size_t model, double keep) {
-  if (keep >= 1.0) return 1.0;  // nothing pruned, agreement exact
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(model) << 32) ^
-      static_cast<std::uint64_t>(std::llround(keep * 1048576.0));
-  const auto it = accuracy_memo_.find(key);
-  if (it != accuracy_memo_.end()) return it->second;
-  const TaskProxyPruningOptions options =
-      engine_config_.task_proxy_pruning() ? *engine_config_.task_proxy_pruning()
-                                          : TaskProxyPruningOptions{};
-  const double acc = quality_accuracy_proxy(models_[model], keep, options);
-  accuracy_memo_.emplace(key, acc);
-  return acc;
 }
 
 std::vector<GemmWork> ServingEngine::build_chunk_ops(

@@ -348,9 +348,9 @@ class ServingEngine {
   /// totals and — once the plan is pending — the CC backlog.
   void price_chunk(std::size_t index, PrefillPlan& plan, std::size_t chunk,
                    bool ride_pin = true);
-  /// Memoized task-proxy agreement at (model, keep) — the quality
-  /// ledger's accuracy pricing.
-  double accuracy_for(std::size_t model, double keep);
+  /// The quality ledger: accuracy_proxy_mean/min over the completed
+  /// records, each priced at the keep fraction it finished at.
+  void price_accuracy(ServingResult& result) const;
   PlacementContext placement_context() const;
   void refresh_decayed_demand();
   /// Consults the OffloadPolicy for one chunk of `index`'s plan; always
@@ -438,8 +438,6 @@ class ServingEngine {
   /// Finished requests that missed their deadline so far (QualityContext
   /// pressure signal).
   std::size_t slo_misses_ = 0;
-  /// accuracy_for memo: (model index, quantized keep) -> agreement.
-  std::unordered_map<std::uint64_t, double> accuracy_memo_;
   /// Fat-backend throughput EWMA (its cost-model bytes per cycle),
   /// seeded from the spec's peak bandwidth; feeds OffloadContext.
   double fat_bytes_per_cycle_est_ = 0.0;

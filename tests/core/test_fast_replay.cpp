@@ -124,7 +124,7 @@ TEST(FastReplay, BackToBackJobsWithinOnePercentOfDetailed) {
 
 TEST(FastReplay, FastTierIsDeterministicAcrossRuns) {
   std::vector<std::vector<GemmWork>> jobs;
-  for (int i = 0; i < 5; ++i) {
+  for (std::size_t i = 0; i < 5; ++i) {
     jobs.push_back({{256 + 64 * i, 512, 512, Phase::kPrefill, false, 0, false}});
   }
   const Cycle first = run_cc_jobs(ReplayMode::kFast, jobs);

@@ -489,6 +489,52 @@ TEST(QualityPolicy, AccuracyLedgerPricesTheServedFraction) {
   EXPECT_DOUBLE_EQ(out.result.accuracy_proxy_min, priced);
 }
 
+/// Test double: a fixed per-(model, request) fraction. Model 0 serves
+/// 0.5 and 0.5 + 1e-9, which share one quantized ledger key; model 1
+/// cycles through 1.0, 0.75 and 0.625.
+class PerModelQuality final : public QualityPolicy {
+ public:
+  const char* name() const override { return "per-model"; }
+  double keep_fraction(const Request& r, const QualityContext&) const override {
+    if (r.model == 0) return r.id % 2 == 0 ? 0.5 : 0.5 + 1e-9;
+    constexpr double kCycle[] = {1.0, 0.75, 0.625};
+    return kCycle[r.id % 3];
+  }
+};
+
+TEST(QualityPolicy, AccuracyLedgerGoldenAcrossTwoModels) {
+  // Golden values recorded with the per-pair pricing the one-pass
+  // ledger replaced: two models of different widths and depths (two
+  // proxy weight streams), three priced (model, keep) keys and one
+  // key shared by two fractions 1e-9 apart.
+  TraceConfig tcfg;
+  tcfg.requests = 16;
+  tcfg.arrival_rate_per_s = 2000.0;
+  tcfg.burst = 4;
+  tcfg.input_tokens = 256;
+  tcfg.min_output_tokens = 2;
+  tcfg.max_output_tokens = 6;
+  tcfg.model_weights = {1.0, 1.0};
+  tcfg.seed = 77;
+  const auto trace = poisson_trace(tcfg);
+  const auto out = replay_trace(
+      small_cfg(), {tiny_model(), heavy_model()},
+      base_config()
+          .quality_policy(std::make_shared<PerModelQuality>())
+          .replay_mode(core::ReplayMode::kFast),
+      trace);
+  bool shared_key_low = false;
+  bool shared_key_high = false;
+  for (const RequestRecord& rec : out.records) {
+    if (!rec.done || rec.request.model != 0) continue;
+    shared_key_low |= rec.keep_fraction_served == 0.5;
+    shared_key_high |= rec.keep_fraction_served == 0.5 + 1e-9;
+  }
+  ASSERT_TRUE(shared_key_low && shared_key_high);
+  EXPECT_DOUBLE_EQ(out.result.accuracy_proxy_mean, 0.86458333333333348);
+  EXPECT_DOUBLE_EQ(out.result.accuracy_proxy_min, 0.83333333333333337);
+}
+
 TEST(QualityPolicy, DegradedPrefillShrinksStreamedWeightBytes) {
   const auto trace = bursty_trace(12);
   const auto full = replay_trace(small_cfg(), {tiny_model()}, base_config(),
