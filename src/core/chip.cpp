@@ -45,6 +45,7 @@ ChipTimingModel::ChipTimingModel(const ChipConfig& config, ChipComposition compo
     path.add_hop(dram_.channel(), dram_.add_port(name));
     clusters_.push_back(std::make_unique<ClusterTimingModel>(sim_, std::move(path),
                                                              config_, kind, name));
+    by_kind_[static_cast<std::size_t>(kind)].push_back(clusters_.back().get());
   };
 
   for (std::size_t g = 0; g < config.groups; ++g) {
@@ -78,14 +79,6 @@ ChipTimingModel::ChipTimingModel(const ChipConfig& config, ChipComposition compo
           [fast = fast_.get()] { fast->budgets_changed(); });
     }
   }
-}
-
-std::vector<ClusterTimingModel*> ChipTimingModel::clusters(ClusterKind kind) {
-  std::vector<ClusterTimingModel*> out;
-  for (const auto& c : clusters_) {
-    if (c->kind() == kind) out.push_back(c.get());
-  }
-  return out;
 }
 
 std::vector<ClusterTimingModel*> ChipTimingModel::all_clusters() {

@@ -6,6 +6,7 @@
 #ifndef EDGEMM_CORE_CHIP_HPP
 #define EDGEMM_CORE_CHIP_HPP
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -54,8 +55,12 @@ class ChipTimingModel {
   mem::DramController& dram() { return dram_; }
   const mem::DramController& dram() const { return dram_; }
 
-  /// All clusters of one kind (empty if the composition has none).
-  std::vector<ClusterTimingModel*> clusters(ClusterKind kind);
+  /// All clusters of one kind (empty if the composition has none), in
+  /// construction order. Built once: the bandwidth manager reads these
+  /// lists on every rebalance tick.
+  const std::vector<ClusterTimingModel*>& clusters(ClusterKind kind) const {
+    return by_kind_[static_cast<std::size_t>(kind)];
+  }
 
   /// Every cluster on the chip.
   std::vector<ClusterTimingModel*> all_clusters();
@@ -96,6 +101,8 @@ class ChipTimingModel {
   std::unique_ptr<mem::ResourceServer> system_xbar_;
   std::vector<std::unique_ptr<mem::ResourceServer>> group_xbars_;
   std::vector<std::unique_ptr<ClusterTimingModel>> clusters_;
+  /// clusters_ split by ClusterKind (indexed by its value).
+  std::array<std::vector<ClusterTimingModel*>, 3> by_kind_;
   std::unique_ptr<FastMemoryModel> fast_;  ///< present only in kFast mode
 };
 

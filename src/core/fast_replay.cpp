@@ -4,10 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <utility>
-#ifdef EDGEMM_FAST_DEBUG
-#include <cstdio>
-#include <cstdlib>
-#endif
 
 #include "common/assert.hpp"
 
@@ -150,16 +146,6 @@ FastMemoryModel::ChainTimes FastMemoryModel::replay_chain(
       }
       u_time = chan_end;
     }
-#ifdef EDGEMM_FAST_DEBUG
-    if (std::getenv("EDGEMM_FAST_DBG") != nullptr) {
-      std::fprintf(stderr,
-                   "  op bytes=%.0f blocks=%.0f serve1=%.0f avail=%.0f "
-                   "g_n=%.0f land1=%.0f chan_end=%.0f comp_end=%.0f "
-                   "usage=%.0f\n",
-                   op.bytes, op.n_blocks, serve1, avail, g_n, land1,
-                   chan_end, comp_end, usage);
-    }
-#endif
     chan = chan_end;
     comp = comp_end;
     cs_prev = new_prev;
@@ -181,7 +167,9 @@ FastMemoryModel::FastMemoryModel(sim::Simulator& sim, mem::DramController& dram,
     : sim_(sim), dram_(dram), config_(config) {}
 
 void FastMemoryModel::register_cluster(ClusterTimingModel& cluster) {
-  lanes_.push_back(Lane{&cluster, nullptr, {}, 0});
+  lanes_.push_back(Lane{});
+  lanes_.back().cluster = &cluster;
+  entries_.reserve(lanes_.size());
   cluster.attach_fast_model(this);
 }
 
@@ -261,6 +249,11 @@ bool FastMemoryModel::idle(const ClusterTimingModel& cluster) const {
   return true;
 }
 
+bool FastMemoryModel::active() const {
+  return std::any_of(lanes_.begin(), lanes_.end(),
+                     [](const Lane& lane) { return lane.active != nullptr; });
+}
+
 void FastMemoryModel::budgets_changed() {
   if (lanes_.empty() || budget_recompute_pending_) return;
   budget_recompute_pending_ = true;
@@ -294,6 +287,7 @@ void FastMemoryModel::activate(Lane& lane, std::unique_ptr<Stream> stream,
     reprice(*stream);
   }
   lane.active = std::move(stream);
+  streams_changed_ = true;
 }
 
 void FastMemoryModel::reprice(Stream& s) {
@@ -439,18 +433,6 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
     times.dma_end += kGridSlipExcess * stream->slip_acc;
     times.done += kGridSlipExcess * stream->slip_acc;
   }
-#ifdef EDGEMM_FAST_DEBUG
-  if (std::getenv("EDGEMM_FAST_DBG") != nullptr) {
-    std::fprintf(stderr,
-                 "retire lane=%zu t0=%.0f bytes=%.0f iso=%.0f span=%.0f "
-                 "cpb=%.4f flood=%.4f sync=%.4f invrb=%.4f defers=%d "
-                 "dma_end=%.0f done=%.0f\n",
-                 stream->lane, stream->started_at, stream->total_bytes,
-                 stream->dma_iso, stream->dma_done_at - stream->started_at,
-                 cpb, flood_cpb, sync_cpb, inv_rb, (int)stream->defers,
-                 times.dma_end, times.done);
-  }
-#endif
   const double t_done = times.done;
   if (inv_rb > 0.0) {
     // Carry the PMC interval charge to the next batch on this lane; a
@@ -470,6 +452,7 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
     dram_.channel().record_external_service(stream->stat_bytes, busy);
   }
   ++streams_completed_;
+  streams_changed_ = true;
 
   // Completion is fixed once the DMA crossing is known — deliberately not
   // token-guarded like the recompute tick.
@@ -498,13 +481,23 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
 }
 
 void FastMemoryModel::compute_rates() {
-  struct Entry {
-    Stream* stream;
-    double demand;
-  };
+  // Rates and contention factors are pure functions of the active stream
+  // set and the lanes' budgets, so a solve with neither moved would only
+  // rewrite the values already held. Skip it: a managed rebalance
+  // re-applies unchanged budgets on almost every tick.
+  bool budgets_moved = false;
+  for (Lane& lane : lanes_) {
+    const Bytes budget = lane.cluster->dma().budget();
+    if (budget != lane.solved_budget) {
+      lane.solved_budget = budget;
+      budgets_moved = true;
+    }
+  }
+  if (!streams_changed_ && !budgets_moved) return;
+  streams_changed_ = false;
+
   const double bw = dram_.config().bytes_per_cycle;
-  std::vector<Entry> entries;
-  entries.reserve(lanes_.size());
+  entries_.clear();
   double flooding = 0.0;
   for (Lane& lane : lanes_) {
     Stream* s = lane.active.get();
@@ -522,15 +515,22 @@ void FastMemoryModel::compute_rates() {
           demand, rb * s->total_bytes / (s->total_bytes - s->tokens0));
     }
     if (s->defers) flooding += 1.0;
-    entries.push_back(Entry{s, std::max(demand, 1e-9)});
+    entries_.push_back(RateEntry{s, std::max(demand, 1e-9)});
   }
   // Max-min fair split of the channel: ascending demand, stable in lane
   // (registration) order so float accumulation is run-to-run identical.
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.demand < b.demand; });
+  // Insertion sort: at most one entry per lane, already in lane order.
+  for (std::size_t i = 1; i < entries_.size(); ++i) {
+    const RateEntry e = entries_[i];
+    std::size_t j = i;
+    for (; j > 0 && e.demand < entries_[j - 1].demand; --j) {
+      entries_[j] = entries_[j - 1];
+    }
+    entries_[j] = e;
+  }
   double remaining = bw;
-  std::size_t left = entries.size();
-  for (Entry& e : entries) {
+  std::size_t left = entries_.size();
+  for (RateEntry& e : entries_) {
     const double share = remaining / static_cast<double>(left);
     e.stream->rate = std::min(e.demand, share);
     remaining -= e.stream->rate;
@@ -548,7 +548,7 @@ void FastMemoryModel::compute_rates() {
   const double floor_bw = 1e-3 * bw;
   double total_rate = 0.0;
   double smooth_rate = 0.0;  // fluid service of the non-deferring streams
-  for (const Entry& e : entries) {
+  for (const RateEntry& e : entries_) {
     total_rate += e.stream->rate;
     if (!e.stream->defers) smooth_rate += e.stream->rate;
   }
@@ -562,18 +562,18 @@ void FastMemoryModel::compute_rates() {
   // prices within one interval. Charged continuously (cycles per cycle)
   // to avoid quantizing into whole-boundary jumps.
   double defer_rb = 0.0;
-  for (const Entry& e : entries) {
+  for (const RateEntry& e : entries_) {
     if (!e.stream->defers) continue;
     const double rb = budget_rate(*e.stream->cluster);
     if (std::isfinite(rb)) defer_rb += rb;
   }
   const double slip_rate =
       std::max(defer_rb + smooth_rate - bw, 0.0) / bw;
-  for (const Entry& a : entries) {
+  for (const RateEntry& a : entries_) {
     a.stream->flood_now = std::max(flood_factor, 1.0);
     a.stream->slip_now = slip_rate;
     double n = 0.0;
-    for (const Entry& b : entries) {
+    for (const RateEntry& b : entries_) {
       if (b.stream->started_at == a.stream->started_at &&
           b.stream->total_bytes == a.stream->total_bytes) {
         n += 1.0;

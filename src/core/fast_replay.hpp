@@ -24,6 +24,7 @@
 #include "common/types.hpp"
 #include "core/config.hpp"
 #include "core/timing.hpp"
+#include "mem/dma.hpp"
 #include "mem/dram.hpp"
 #include "sim/simulator.hpp"
 
@@ -94,6 +95,11 @@ class FastMemoryModel {
   /// True when `cluster` has no stream active or queued.
   bool idle(const ClusterTimingModel& cluster) const;
 
+  /// True while any lane has a stream in flight. Without one, a
+  /// recompute only moves the integration clock, which the next
+  /// submit re-derives anyway.
+  bool active() const;
+
   /// Re-prices every active stream at the current time; call after a
   /// budget change. Coalesces: many set_budget calls in one event (a
   /// BandwidthManager rebalance touches every cluster) trigger one
@@ -161,6 +167,13 @@ class FastMemoryModel {
     /// predecessor charged to the current interval. time < 0 = no carry.
     double bucket_usage = 0.0;
     double bucket_time = -1.0;  ///< absolute time of the usage snapshot
+    /// The cluster's DMA budget at the last rate solve.
+    Bytes solved_budget = mem::DmaEngine::kUnlimited;
+  };
+  /// One water-filling participant: an active stream and its demand cap.
+  struct RateEntry {
+    Stream* stream;
+    double demand;
   };
 
   struct ChainTimes {
@@ -195,6 +208,8 @@ class FastMemoryModel {
   void advance_to(double now);
   void settle();
   void retire(Lane& lane, std::unique_ptr<Stream> stream);
+  /// Re-solves the max-min rates and contention factors, but only when
+  /// the stream set or a lane budget moved since the last solve.
   void compute_rates();
   void recompute();
   void schedule_next();
@@ -204,6 +219,8 @@ class FastMemoryModel {
   mem::DramController& dram_;
   const ChipConfig& config_;
   std::vector<Lane> lanes_;
+  std::vector<RateEntry> entries_;  ///< compute_rates scratch, reused
+  bool streams_changed_ = false;    ///< activate/retire since the last solve
   double last_advance_ = 0.0;
   std::uint64_t event_token_ = 0;  ///< newest scheduled recompute wins
   bool budget_recompute_pending_ = false;

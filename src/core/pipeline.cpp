@@ -104,8 +104,8 @@ PipelineResult MllmPipeline::run(const PhaseWorkload& workload,
   }
 
   ChipTimingModel chip(config_, ChipComposition::kHeterogeneous);
-  const auto cc_set = chip.clusters(ClusterKind::kComputeCentric);
-  const auto mc_set = chip.clusters(ClusterKind::kMemoryCentric);
+  const auto& cc_set = chip.clusters(ClusterKind::kComputeCentric);
+  const auto& mc_set = chip.clusters(ClusterKind::kMemoryCentric);
   EDGEMM_ASSERT_MSG(!cc_set.empty() && !mc_set.empty(),
                     "pipeline requires a heterogeneous chip");
 

@@ -196,8 +196,9 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   // partition and let the rebalancer shift it once per throttle
   // interval T.
   local_.apply_equal_sharing();
+  applied_ratio_ = 1;
   if (engine_config_.manage_bandwidth()) {
-    schedule_rebalance(config_.dma.throttle_interval);
+    schedule_rebalance(sim.now() + config_.dma.throttle_interval);
   }
   sim.run();
   EDGEMM_ASSERT_MSG(completed_ + rejected_ == total_,
@@ -1244,15 +1245,37 @@ void ServingEngine::retire(std::size_t index) {
   if (on_complete_) on_complete_(rec);
 }
 
-void ServingEngine::schedule_rebalance(Cycle interval) {
-  local_.simulator().schedule(interval, [this, interval] {
-    if (completed_ + rejected_ >= total_) return;  // drained: stop ticking
-    rebalance();
-    schedule_rebalance(interval);
-  });
+void ServingEngine::schedule_rebalance(Cycle at) {
+  local_.simulator().schedule_at(at, [this] { rebalance(); });
 }
 
 void ServingEngine::rebalance() {
+  if (completed_ + rejected_ >= total_) return;  // drained: stop ticking
+  sim::Simulator& sim = local_.simulator();
+  const Cycle now = sim.now();
+  const Cycle interval = config_.dma.throttle_interval;
+  const std::size_t ratio = target_ratio();
+  const core::FastMemoryModel* fast = local_.chip().fast_model();
+  if (ratio == applied_ratio_ && fast != nullptr && !fast->active() &&
+      !sim.idle() && sim.next_time() > now) {
+    // Idle gap: no event runs before the next queued one, so every tick
+    // up to it would re-apply these same budgets to a fast model with no
+    // stream to re-price — a no-op. Count those ticks and resume on the
+    // first grid point at or after that event. The tick pushed now still
+    // lands after every event already queued and before any pushed from
+    // then on, so same-cycle order is what ticking through would give.
+    const Cycle ticks = (sim.next_time() - now + interval - 1) / interval;
+    result_.rebalances += ticks;
+    schedule_rebalance(now + ticks * interval);
+    return;
+  }
+  local_.apply_bandwidth_ratio(ratio);
+  applied_ratio_ = ratio;
+  ++result_.rebalances;
+  schedule_rebalance(now + interval);
+}
+
+std::size_t ServingEngine::target_ratio() {
   // Size Bc:Bm from the bytes actually pending on each side (the dynamic
   // analogue of the Fig. 9(c) per-round byte ratio): admitted prefill
   // work on the CC side, remaining decode traffic of in-flight requests
@@ -1260,7 +1283,7 @@ void ServingEngine::rebalance() {
   // model's batch keeps decoding until its longest request drains — not
   // once per request; continuous batching is what amortizes them.
   double mc_bytes = 0.0;
-  std::vector<std::size_t> max_remaining(models_.size(), 0);
+  max_remaining_.assign(models_.size(), 0);
   auto add_remaining = [&](std::size_t index) {
     const RequestRecord& rec = records_[index];
     const std::size_t remaining =
@@ -1268,7 +1291,7 @@ void ServingEngine::rebalance() {
     const std::size_t context =
         rec.request.input_tokens + rec.tokens_generated;
     const std::size_t m = rec.request.model;
-    max_remaining[m] = std::max(max_remaining[m], remaining);
+    max_remaining_[m] = std::max(max_remaining_[m], remaining);
     mc_bytes += static_cast<double>(remaining) *
                 (decode_request_bytes_[m] +
                  decode_kv_slope_[m] * static_cast<double>(context));
@@ -1277,21 +1300,20 @@ void ServingEngine::rebalance() {
   for (const std::size_t index : decode_ready_) add_remaining(index);
   for (std::size_t m = 0; m < models_.size(); ++m) {
     mc_bytes +=
-        decode_shared_bytes_[m] * static_cast<double>(max_remaining[m]);
+        decode_shared_bytes_[m] * static_cast<double>(max_remaining_[m]);
   }
 
   const std::size_t max_ratio = local_.manager().policy().max_mc_ratio;
-  std::size_t ratio = 1;
   if (cc_pending_bytes_ <= 0.0) {
     // No upstream work: hand the MC side the whole ramp.
-    ratio = max_ratio;
-  } else if (mc_bytes > 0.0) {
-    ratio = std::clamp<std::size_t>(
+    return max_ratio;
+  }
+  if (mc_bytes > 0.0) {
+    return std::clamp<std::size_t>(
         static_cast<std::size_t>(mc_bytes / cc_pending_bytes_ + 0.5), 1,
         max_ratio);
   }
-  local_.apply_bandwidth_ratio(ratio);
-  ++result_.rebalances;
+  return 1;
 }
 
 ReplayOutcome replay_trace(const core::ChipConfig& config,

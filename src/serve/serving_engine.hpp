@@ -365,8 +365,13 @@ class ServingEngine {
   void retire(std::size_t index);
   void start_decode_step();
   void on_decode_step_done();
-  void schedule_rebalance(Cycle interval);
+  /// Arms the next bandwidth rebalance tick at absolute cycle `at`.
+  void schedule_rebalance(Cycle at);
+  /// One PMC-interval tick (§IV-B): applies target_ratio(), or skips an
+  /// idle gap to the next queued event when nothing could change.
   void rebalance();
+  /// The Bc:Bm = 1:ratio split the pending CC and MC bytes call for.
+  std::size_t target_ratio();
 
   core::ChipConfig config_;
   std::vector<model::MllmConfig> models_;
@@ -452,6 +457,9 @@ class ServingEngine {
   /// byte-identical to the former engine-global scalars.
   std::vector<double> cc_bytes_per_cycle_est_;
   std::vector<double> decode_step_cycles_est_;
+  /// Bc:Bm ratio the chip's budgets were last set to (equal sharing = 1).
+  std::size_t applied_ratio_ = 1;
+  std::vector<std::size_t> max_remaining_;  ///< target_ratio scratch
   ServingResult result_;  ///< the run's counters, kept in place
 };
 

@@ -38,6 +38,10 @@ class Simulator {
 
   bool idle() const { return queue_.empty(); }
 
+  /// Timestamp of the earliest queued event (the least `when`, whichever
+  /// of a same-cycle tie runs first); the queue must not be idle().
+  Cycle next_time() const { return queue_.next_time(); }
+
  private:
   Cycle now_ = 0;
   std::uint64_t events_executed_ = 0;

@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "core/bandwidth_manager.hpp"
 #include "core/chip.hpp"
 #include "core/phase_scheduler.hpp"
 #include "model/workload.hpp"
@@ -218,6 +219,62 @@ TEST(FastReplay, PagedKvSwapTraceWithinOnePercentOfDetailed) {
   EXPECT_EQ(detailed.result.kv_pages_allocated,
             detailed.result.kv_pages_freed);
   EXPECT_EQ(fast.result.kv_pages_allocated, fast.result.kv_pages_freed);
+}
+
+/// Runs one CC and one MC job together on a fast chip under managed
+/// budgets, re-applying Bc:Bm = 1:ratios[k] at cycle (k + 1) * T while
+/// both stream; returns the two jobs' completion cycles.
+std::vector<Cycle> run_rebudgeted(const std::vector<std::size_t>& ratios) {
+  ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous,
+                       ReplayMode::kFast);
+  const BandwidthManager manager(chip.config(), BandwidthPolicy{});
+  manager.apply_equal_sharing(chip);
+  std::vector<Cycle> done(2, 0);
+  chip.run_on(chip.clusters(ClusterKind::kComputeCentric),
+              {{64, 4096, 4096, Phase::kPrefill, false, 0, false}},
+              [&] { done[0] = chip.simulator().now(); });
+  chip.run_on(chip.clusters(ClusterKind::kMemoryCentric),
+              {{1, 4096, 4096, Phase::kDecode, false, 0, false}},
+              [&] { done[1] = chip.simulator().now(); });
+  const Cycle interval = chip.config().dma.throttle_interval;
+  for (std::size_t k = 0; k < ratios.size(); ++k) {
+    chip.simulator().schedule_at((k + 1) * interval, [&, ratio = ratios[k]] {
+      manager.apply_ratio(chip, ratio);
+    });
+  }
+  chip.simulator().run();
+  return done;
+}
+
+TEST(FastReplay, CompletionAfterMidStreamBudgetChangeIsPinned) {
+  // Golden cycles: a rebalance that moves the budgets mid-stream
+  // re-prices both streams at that instant.
+  EXPECT_EQ(run_rebudgeted({}), (std::vector<Cycle>{1339858, 656320}));
+  EXPECT_EQ(run_rebudgeted({7}), (std::vector<Cycle>{5312181, 419488}));
+  EXPECT_EQ(run_rebudgeted({3, 7, 1}),
+            (std::vector<Cycle>{1450447, 534760}));
+}
+
+TEST(FastReplay, CompletionAfterIdenticalReappliedBudgetsIsPinned) {
+  // Golden cycles: re-applying the budgets already in force leaves the
+  // rates alone, however often it happens — the cycles equal the runs
+  // above without the repeats.
+  EXPECT_EQ(run_rebudgeted(std::vector<std::size_t>(8, 1)),
+            (std::vector<Cycle>{1339858, 656320}));
+  EXPECT_EQ(run_rebudgeted({7, 7, 7, 7, 7, 7}),
+            (std::vector<Cycle>{5312181, 419488}));
+}
+
+TEST(FastReplay, ActiveTracksStreamsInFlight) {
+  ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous,
+                       ReplayMode::kFast);
+  const FastMemoryModel& fast = *chip.fast_model();
+  EXPECT_FALSE(fast.active());
+  chip.run_on(chip.clusters(ClusterKind::kComputeCentric),
+              {{64, 512, 512, Phase::kPrefill, false, 0, false}}, [] {});
+  EXPECT_TRUE(fast.active());
+  chip.simulator().run();
+  EXPECT_FALSE(fast.active());
 }
 
 TEST(FastReplay, IdleTracksOutstandingStreams) {

@@ -56,6 +56,36 @@ TEST(Simulator, RunUntilIncludesEventsAtDeadline) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulator, NextTimePeeksTheEarliestQueuedEvent) {
+  Simulator sim;
+  EXPECT_TRUE(sim.idle());
+  sim.schedule(30, [] {});
+  sim.schedule(10, [] {});
+  sim.schedule(20, [] {});
+  EXPECT_EQ(sim.next_time(), 10u);
+  EXPECT_EQ(sim.now(), 0u);  // a peek, not a step
+  sim.run_until(10);
+  EXPECT_EQ(sim.next_time(), 20u);
+  sim.run();
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, NextTimeSeesSameCycleTies) {
+  Simulator sim;
+  std::vector<Cycle> peeks;
+  sim.schedule(5, [&] {
+    // The tie queued behind this event and one pushed now, same cycle.
+    peeks.push_back(sim.next_time());
+    sim.schedule(0, [&] { peeks.push_back(sim.idle() ? 0 : sim.next_time()); });
+    peeks.push_back(sim.next_time());
+  });
+  sim.schedule(5, [&] { peeks.push_back(sim.next_time()); });
+  sim.schedule(9, [] {});
+  EXPECT_EQ(sim.next_time(), 5u);
+  sim.run();
+  EXPECT_EQ(peeks, (std::vector<Cycle>{5, 5, 5, 9}));
+}
+
 TEST(Simulator, EventCounterAccumulates) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.schedule(static_cast<Cycle>(i), [] {});
